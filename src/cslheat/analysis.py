@@ -22,7 +22,6 @@ from typing import Iterable, Sequence
 from .core import CONSTANTS, CONSTANTS_VERSION, CslParams, QuadratureSpec, ThermalModel
 from .geometry import Layer, LayeredStack, MassModel, Material
 from .heating import gamma_cm, heating_report
-from .quadrature import QuadratureNotConverged
 
 
 class InfeasibleDesign(ValueError):
@@ -282,8 +281,7 @@ class ScanRow:
     gamma_cm_per_lambda: float  # [J]
     reduction_factor: float
     lambda_bound: float | None
-    converged: bool
-    message: str | None = None
+    converged: bool = True  # the closed forms always converge
 
     def to_dict(self) -> dict:
         out = {
@@ -294,8 +292,6 @@ class ScanRow:
         }
         if self.lambda_bound is not None:
             out["lambda_bound"] = self.lambda_bound
-        if self.message is not None:
-            out["message"] = self.message
         return out
 
 
@@ -342,8 +338,7 @@ def scan_rc(
 
     The rate is linear in lambda, so each row reports the per-lambda value
     (evaluated at lambda = 1/s, hence in joules); with an observed power
-    the row also carries the implied lambda upper bound.  Failed
-    quadrature points are marked rather than aborting the scan.
+    the row also carries the implied lambda upper bound.
     """
     grid = [float(r) for r in rc_grid]
     if not grid:
@@ -354,20 +349,11 @@ def scan_rc(
         raise ValueError("rc_grid must be strictly increasing")
     rows = []
     for rc in grid:
-        csl_unit = CslParams(1.0, rc)
-        try:
-            report = heating_report(model, csl_unit, quad)
-        except QuadratureNotConverged as exc:
-            rows.append(
-                ScanRow(rc, math.nan, math.nan, None, False, str(exc))
-            )
-            continue
+        report = heating_report(model, CslParams(1.0, rc), quad)
         bound = None
         if observed_power is not None:
             bound = _bound_from_denominator(observed_power, report.gamma_cm)
-        rows.append(
-            ScanRow(rc, report.gamma_cm, report.reduction_factor, bound, True)
-        )
+        rows.append(ScanRow(rc, report.gamma_cm, report.reduction_factor, bound))
     meta = {"constants_version": CONSTANTS_VERSION}
     if metadata:
         meta.update(metadata)
@@ -396,9 +382,5 @@ def lambda_bound(
     the rate at lambda = 1/s.  Returns +inf when that denominator
     underflows to zero.
     """
-    if observed_power < 0:
-        raise ValueError(f"observed power must be >= 0, got {observed_power}")
-    if observed_power == 0.0:
-        return 0.0
     denom = gamma_cm(model, CslParams(1.0, r_c), quad).value
     return _bound_from_denominator(observed_power, denom)

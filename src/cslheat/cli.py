@@ -3,17 +3,17 @@
 Every run reads a JSON experiment spec, prints a JSON payload (or CSV for
 tabular results with --csv), and exits 0 on success, 2 on spec/task
 errors, 3 on compute errors, 4 on infeasible designs.  Payloads carry the
-spec hash, the constants version, and the quadrature settings actually
-used; they contain no timestamps and are serialized with sorted keys and
-full-precision floats, so identical inputs give byte-identical output.
+spec hash, the constants version, and the spec's numerical settings; they
+contain no timestamps and are serialized as strict JSON with sorted keys
+and full-precision floats, so identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -41,9 +41,6 @@ from .core import (
 from .geometry import normalized_form_factor
 from .heating import gamma_cm_mc, heating_report
 from .lattice import TooManySites, lattice_check
-from .quadrature import QuadratureNotConverged
-
-THREADS_ENV = "CSL_MASSMODEL_THREADS"
 
 
 class TaskError(ValueError):
@@ -57,13 +54,7 @@ def _load(args) -> ExperimentSpec:
     return spec
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    return int(os.environ.get(THREADS_ENV, "1"))
-
-
-def _payload(args, spec: ExperimentSpec, command: str, result: dict) -> dict:
+def _payload(spec: ExperimentSpec, command: str, result: dict) -> dict:
     q = spec.quadrature
     return {
         "command": command,
@@ -75,7 +66,6 @@ def _payload(args, spec: ExperimentSpec, command: str, result: dict) -> dict:
             "mc_samples": q.mc_samples,
             "rng_seed": q.rng_seed,
         },
-        "threads": _threads(args),
         "result": result,
     }
 
@@ -88,7 +78,7 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_json(args, payload: dict) -> None:
-    _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _emit(args, json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _task(spec: ExperimentSpec, key: str, kind=float):
@@ -96,9 +86,12 @@ def _task(spec: ExperimentSpec, key: str, kind=float):
     if key not in task:
         raise TaskError(f"task.{key} is required for this command")
     try:
-        return kind(task[key])
+        value = kind(task[key])
     except (TypeError, ValueError) as exc:
         raise TaskError(f"task.{key}: {exc}") from exc
+    if not math.isfinite(value):
+        raise TaskError(f"task.{key}: must be finite, got {value!r}")
+    return value
 
 
 def _task_material(spec: ExperimentSpec, key: str):
@@ -160,7 +153,7 @@ def cmd_mu(args) -> int:
             for r in rows
         ]
     }
-    _emit_json(args, _payload(args, spec, "mu", result))
+    _emit_json(args, _payload(spec, "mu", result))
     return 0
 
 
@@ -176,7 +169,7 @@ def cmd_heat(args) -> int:
         keys = sorted(result)
         _emit(args, _csv(keys, [[result[k] for k in keys]]))
         return 0
-    _emit_json(args, _payload(args, spec, "heat", result))
+    _emit_json(args, _payload(spec, "heat", result))
     return 0
 
 
@@ -212,7 +205,7 @@ def cmd_scan(args) -> int:
     if args.csv:
         _emit(args, table.to_csv())
         return 0
-    _emit_json(args, _payload(args, spec, "scan", table.to_dict()))
+    _emit_json(args, _payload(spec, "scan", table.to_dict()))
     return 0
 
 
@@ -239,7 +232,7 @@ def cmd_optimize(args) -> int:
         rows = [[n, g] for n, g in result.evaluations]
         _emit(args, _csv(["n_pairs", "gamma_cm"], rows))
         return 0
-    _emit_json(args, _payload(args, spec, "optimize", result.to_dict()))
+    _emit_json(args, _payload(spec, "optimize", result.to_dict()))
     return 0
 
 
@@ -273,7 +266,7 @@ def cmd_discriminate(args) -> int:
     result = report.to_dict()
     result["designs"] = [d.to_dict() for d in designs]
     result["n_pairs"] = pair_counts
-    _emit_json(args, _payload(args, spec, "discriminate", result))
+    _emit_json(args, _payload(spec, "discriminate", result))
     return 0
 
 
@@ -289,7 +282,7 @@ def cmd_bound(args) -> int:
         "lambda_max": None if math.isinf(value) else value,
         "unbounded": math.isinf(value),
     }
-    _emit_json(args, _payload(args, spec, "bound", result))
+    _emit_json(args, _payload(spec, "bound", result))
     return 0
 
 
@@ -297,7 +290,7 @@ def cmd_lattice_check(args) -> int:
     spec = _load(args)
     seed = spec.quadrature.rng_seed
     report = lattice_check(seed=seed, r_c=spec.csl.r_c)
-    _emit_json(args, _payload(args, spec, "lattice-check", report))
+    _emit_json(args, _payload(spec, "lattice-check", report))
     return 0 if report["all_passed"] else 3
 
 
@@ -308,11 +301,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="emit tabular results as CSV")
     p.add_argument("--seed", type=int, default=None,
                    help="override the spec's Monte-Carlo seed")
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"worker threads (default: ${THREADS_ENV} or 1)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cslheat",
         description="Collapse-noise heating rates of solid test masses",
@@ -375,7 +368,7 @@ def main(argv=None) -> int:
     except (InfeasibleDesign, ConstraintViolation) as exc:
         print(f"infeasible design: {exc}", file=sys.stderr)
         return 4
-    except (QuadratureNotConverged, TooManySites, ArithmeticError, ValueError) as exc:
+    except (TooManySites, ArithmeticError, ValueError) as exc:
         print(f"compute error: {exc}", file=sys.stderr)
         return 3
 

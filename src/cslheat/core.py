@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -91,11 +92,12 @@ class CslParams:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Numerical controls shared by the heating integrals.
+    """Numerical controls; the closed-form rates read only rel_tol.
 
-    rel_tol     target relative accuracy of deterministic quadrature
-    u_max       dimensionless cutoff for |k| * r_c (Gaussian tail
-                exp(-u_max^2) is 1.6e-28 at the default 8)
+    rel_tol     relative tolerance of the clamp of gamma_int at zero
+                (see heating.heating_report)
+    u_max       |k| * r_c cutoff of the adaptive-quadrature oracle of the
+                tests (Gaussian tail exp(-u_max^2) is 1.6e-28 at 8)
     mc_samples  Monte-Carlo sample count
     rng_seed    seed of the counter-based (Philox) generator
     """
@@ -151,18 +153,25 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str):
             raise ValidationError(f"{path}.{key}", "missing required key")
 
 
-def _number(obj: dict, key: str, path: str) -> float:
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ValidationError(f"{path}.{key}", f"expected a number, got {val!r}")
+def _finite(val, field: str) -> float:
+    try:
+        ok = not isinstance(val, bool) and math.isfinite(val)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValidationError(field, f"expected a finite number, got {val!r}")
     return float(val)
+
+
+def _number(obj: dict, key: str, path: str) -> float:
+    return _finite(obj[key], f"{path}.{key}")
 
 
 def _vector3(obj: dict, key: str, path: str) -> tuple[float, float, float]:
     val = obj[key]
     if not isinstance(val, list) or len(val) != 3:
         raise ValidationError(f"{path}.{key}", "expected a 3-element array")
-    return tuple(float(v) for v in val)
+    return tuple(_finite(v, f"{path}.{key}") for v in val)
 
 
 def parse_material(val, path: str = "material") -> Material:
@@ -249,7 +258,8 @@ def load_spec(path) -> ExperimentSpec:
 
 def loads_spec(text: str) -> ExperimentSpec:
     try:
-        doc = json.loads(text)
+        # NaN and +-Infinity stay strings, which every numeric field refuses
+        doc = json.loads(text, parse_constant=str)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"malformed spec document at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -293,10 +303,10 @@ def loads_spec(text: str) -> ExperimentSpec:
     _require_keys(qobj, set(_QUAD_DEFAULTS), set(), "quadrature")
     merged = {**_QUAD_DEFAULTS, **qobj}
     quadrature = QuadratureSpec(
-        rel_tol=float(merged["rel_tol"]),
-        u_max=float(merged["u_max"]),
-        mc_samples=int(merged["mc_samples"]),
-        rng_seed=int(merged["rng_seed"]),
+        rel_tol=_number(merged, "rel_tol", "quadrature"),
+        u_max=_number(merged, "u_max", "quadrature"),
+        mc_samples=int(_number(merged, "mc_samples", "quadrature")),
+        rng_seed=int(_number(merged, "rng_seed", "quadrature")),
     )
 
     task = doc.get("task")

@@ -11,37 +11,36 @@ Three rates, all in watts:
                  (phonon-like) motion; dominant for bodies large compared
                  to r_c.
 
-In the dimensionless variable u = r_c * k,
+In the dimensionless variable u = r_c * k, gamma_cm = gamma_total * I3 /
+I3_FREE with I3 = integral d^3u exp(-u^2) u^2 |f(u / r_c)|^2, f the
+normalized form factor and I3_FREE = (3/2) pi^(3/2) its point-mass value.
+The ratio I3 / I3_FREE is the reduction factor; it depends only on the
+shape ratios (extent / r_c).
 
-  gamma_cm = lambda hbar^2 M / (2 pi^(3/2) m_N^2 r_c^2) * I3,
-  I3 = integral d^3u exp(-u^2) u^2 |f(u / r_c)|^2,
+Each shape has one production route to I3, a closed form: the continuum
+limit of the pairwise lattice sum E_pairs[(1 - D^2/6) exp(-D^2/4)].  A
+point mass has reduction 1 and a ball of radius s r_c
+6 [(s^2 - 2) + (s^2 + 2) e^(-s^2)] / s^6.  Cuboids and stacks factorize,
+I3 = sum_i B_i prod_(j != i) A_j over the axes, with A and B the 1D
+moments of each axis' layered density profile (_profile_ab); cylinders
+combine the one-layer axial profile with Bessel-function transverse
+moments.  Each form turns to a Taylor series where its direct expression
+would cancel; the tests hold all of them to REL_ERROR against mpmath.
+Adaptive quadrature, the lattice and Monte Carlo are oracles only.
 
-with f the normalized form factor.  I3 = (3/2) pi^(3/2) for a point mass,
-which makes gamma_cm = gamma_total; the ratio I3 / ((3/2) pi^(3/2)) is the
-dimensionless reduction factor and depends only on the shape ratios
-(extent / r_c).
-
-For separable bodies (cuboid, layered stack) I3 factorizes into products
-of 1D integrals A_j = int du e^(-u^2) |f_j|^2 and
-B_i = int du e^(-u^2) u^2 |f_i|^2; spheres and cylinders use the
-symmetry-reduced radial / (transverse, axial) integrals.  All 1D integrals
-run on the adaptive Gauss-Kronrod engine with initial panels no wider than
-half the form-factor oscillation period (pi * r_c / extent in u), which
-keeps long-body sinc oscillations fully resolved.
-
-A seeded Monte-Carlo estimator (gamma_cm_mc) importance-samples the same
-integral from the Gaussian weight and serves as an independent
-cross-check; it uses numpy's counter-based Philox generator with a single
-fixed draw order, so results are bit-identical for a given seed.
+The seeded Monte-Carlo estimator (gamma_cm_mc) importance-samples the
+same integral from the Gaussian weight with numpy's counter-based Philox
+generator and a fixed draw order, so it is bit-identical for a seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, sqrt
-from typing import Callable, NamedTuple
+from math import exp, factorial, fsum, pi, sqrt
+from typing import NamedTuple
 
 import numpy as np
+from scipy.special import erf, i0e, i1e
 
 from .core import CONSTANTS, CslParams, QuadratureSpec
 from .geometry import (
@@ -51,15 +50,39 @@ from .geometry import (
     MassModel,
     PointMass,
     Sphere,
-    extents,
     mu_tilde,
     separable_factors,
     total_mass,
 )
-from .quadrature import QuadratureNotConverged, adaptive_gk
-from .special import sinc, sphere_form_kernel, two_j1_over_x
 
 I3_FREE = 1.5 * pi**1.5  # integral of exp(-u^2) u^2 over all of R^3
+# relative accuracy of the closed forms for extent / r_c in [1e-6, 1e5]
+# and stacks of up to 256 layers, enforced against mpmath by the tests
+REL_ERROR = 1e-12
+_RT_PI = sqrt(pi)
+
+# Below a profile width of 2 r_c the kernels Phi - 2 - x^2/2 and
+# g - 1 + x^2/4 are summed as series from x^4 on (< 1e-19 at x = 2): the
+# direct sums cancel to ~eps / width^2, or ~eps * layers for thin layers.
+_PROFILE_SWITCH = 2.0
+_PHI_SERIES = np.array([(-1) ** (k - 1) / (4.0 ** (k - 1) * factorial(k - 1)
+                                           * 2 * k * (2 * k - 1)) for k in range(2, 22)])
+_G_SERIES = np.array([(-1) ** k / (4.0**k * factorial(k)) for k in range(2, 22)])
+_PAIR_BLOCK = 1 << 20  # pair-matrix entries per block: bounds memory
+
+# (2 J1(y)/y)^2 = sum_k (-1)^k (2k+2)! / (k! (k+2)! (k+1)!^2) (y/2)^(2k),
+# integrated against u e^(-u^2) (A) and u^3 e^(-u^2) (B); the direct
+# forms cancel to ~2 eps / s^2, so the series runs to s = 1.
+_DISC_SWITCH = 1.0
+_A_PERP_SERIES = np.array([(-1) ** k * factorial(2 * k + 2) / (
+    2 * factorial(k + 2) * factorial(k + 1) ** 2 * 4.0**k) for k in range(24)])
+_B_PERP_SERIES = np.array([(-1) ** k * factorial(2 * k + 2) / (
+    2 * factorial(k) * factorial(k + 2) * factorial(k + 1) * 4.0**k) for k in range(24)])
+
+# ball: 6 sum_m (-1)^m (m+1) s^(2m) / (m+3)!, below s = 1 where the direct
+# form cancels to ~12 eps / s^6
+_SPHERE_SWITCH = 1.0
+_SPHERE_SERIES = np.array([6.0 * (-1) ** m * (m + 1) / factorial(m + 3) for m in range(25)])
 
 
 class PowerEstimate(NamedTuple):
@@ -75,7 +98,7 @@ class HeatingReport:
     gamma_cm: float
     gamma_int: float
     reduction_factor: float
-    quadrature_estimate_error: float  # relative
+    quadrature_estimate_error: float  # relative accuracy bound, REL_ERROR
     internal_clamped: bool = False
 
     def to_dict(self) -> dict:
@@ -98,125 +121,116 @@ def gamma_total(mass: float, csl: CslParams) -> float:
     return 0.75 * c.hbar**2 * csl.lambda_rate * mass / c.m_nucleon**2 / csl.r_c / csl.r_c
 
 
-def _cm_prefactor(mass: float, csl: CslParams) -> float:
-    c = CONSTANTS
-    return (
-        csl.lambda_rate
-        * c.hbar**2
-        * mass
-        / (2.0 * pi**1.5 * c.m_nucleon**2)
-        / csl.r_c
-        / csl.r_c
-    )
+def _pair_sums(z: np.ndarray, c: np.ndarray, series: bool) -> tuple[float, float]:
+    """c^T K(|z_p - z_q|) c for the A and B kernels, in row blocks."""
+    step = max(1, _PAIR_BLOCK // len(z))
+    sum_a = sum_b = 0.0
+    for i in range(0, len(z), step):
+        d = np.abs(z[i : i + step, None] - z[None, :])
+        if series:
+            d2 = d * d
+            d4 = d2 * d2
+            ka = d4 * np.polynomial.polynomial.polyval(d2, _PHI_SERIES)
+            kb = d4 * np.polynomial.polynomial.polyval(d2, _G_SERIES)
+        else:
+            kb = np.exp(-0.25 * d * d)
+            ka = _RT_PI * d * erf(0.5 * d) + 2.0 * kb
+        sum_a += float(c[i : i + step] @ ka @ c)
+        sum_b += float(c[i : i + step] @ kb @ c)
+    return sum_a, sum_b
 
 
-class _Integrator:
-    """Collects 1D quadratures, tracking failures for one combined raise."""
+def _profile_ab(widths, densities) -> tuple[float, float]:
+    """A = int du e^(-u^2) |f|^2 and B = int du e^(-u^2) u^2 |f|^2 over all u.
 
-    def __init__(self, rel_tol: float, u_max: float):
-        self.rel_tol = rel_tol
-        self.u_max = u_max
-        self.failed: list[str] = []
+    f is the normalized Fourier transform of a 1D density made of layers
+    of the given widths (in r_c) and densities, side by side.  Integrating
+    by parts twice turns both integrals into sums over pairs of the
+    density jumps c_p at the layer edges z_p:
 
-    def __call__(self, f: Callable, extent_over_rc: float) -> tuple[float, float]:
-        panel = None
-        if extent_over_rc > 0:
-            panel = pi / extent_over_rc  # half the |f|^2 oscillation period
-        try:
-            res = adaptive_gk(
-                f, 0.0, self.u_max, self.rel_tol, max_panel_width=panel
-            )
-            return res.value, res.error
-        except QuadratureNotConverged as exc:
-            self.failed.append(str(exc))
-            return exc.value, exc.error
+      A = -(sqrt(pi) / sigma^2) c^T Phi(|z_p - z_q|) c,
+          Phi(x) = sqrt(pi) x erf(x/2) + 2 e^(-x^2/4),
+      B =  (sqrt(pi) / sigma^2) c^T g(|z_p - z_q|) c,   g(x) = e^(-x^2/4),
 
-
-def _abs2(z) -> np.ndarray:
-    z = np.asarray(z)
-    return z.real**2 + z.imag**2
-
-
-def _shape_integral(
-    model: MassModel, r_c: float, quad: QuadratureSpec
-) -> tuple[float, float, list[str]]:
-    """I3 = integral d^3u e^(-u^2) u^2 |f(u/r_c)|^2, with error estimate.
-
-    Returns (value, absolute error, failure messages); failures carry
-    partial values so the caller can report before raising.
+    with sigma = sum_j rho_j t_j.  As sum_p c_p = 0 and
+    c^T D^2 c = -2 sigma^2, narrow profiles use the cancellation-free
+    A = sqrt(pi) (1 - c^T (Phi - 2 - x^2/2) c / sigma^2) and
+    B = sqrt(pi) (1/2 + c^T (g - 1 + x^2/4) c / sigma^2).
     """
-    gk = _Integrator(quad.rel_tol, quad.u_max)
-    ex, ey, ez = (e / r_c for e in extents(model))
+    t = np.asarray(widths, dtype=float)
+    rho = np.asarray(densities, dtype=float)
+    rho = rho / rho.max()
+    z = np.concatenate(([0.0], np.cumsum(t)))
+    c = np.diff(rho, prepend=0.0, append=0.0)
+    sigma = fsum(rho * t)
+    series = z[-1] < _PROFILE_SWITCH
+    sum_a, sum_b = _pair_sums(z, c, series)
+    sum_a, sum_b = sum_a / sigma / sigma, sum_b / sigma / sigma
+    if series:
+        return _RT_PI * (1.0 - sum_a), _RT_PI * (0.5 + sum_b)
+    return -_RT_PI * sum_a, _RT_PI * sum_b
 
-    if isinstance(model, PointMass):
-        val, err = gk(lambda u: np.exp(-u * u) * u**4, 0.0)
-        return 4.0 * pi * val, 4.0 * pi * err, gk.failed
 
-    if isinstance(model, Sphere):
-        scale = model.radius / r_c
-
-        def radial(u):
-            return np.exp(-u * u) * u**4 * _abs2(sphere_form_kernel(u * scale))
-
-        val, err = gk(radial, 2.0 * scale)
-        return 4.0 * pi * val, 4.0 * pi * err, gk.failed
-
-    if isinstance(model, Cylinder):
-        rscale = model.radius / r_c
-        hscale = model.height / r_c
-
-        def fperp2(u):
-            return _abs2(two_j1_over_x(u * rscale))
-
-        def fz2(u):
-            return _abs2(sinc(0.5 * u * hscale))
-
-        a_perp, da_perp = gk(lambda u: np.exp(-u * u) * u * fperp2(u), 2.0 * rscale)
-        b_perp, db_perp = gk(lambda u: np.exp(-u * u) * u**3 * fperp2(u), 2.0 * rscale)
-        a_z, da_z = gk(lambda u: np.exp(-u * u) * fz2(u), hscale)
-        b_z, db_z = gk(lambda u: np.exp(-u * u) * u * u * fz2(u), hscale)
-        a_z, da_z, b_z, db_z = 2.0 * a_z, 2.0 * da_z, 2.0 * b_z, 2.0 * db_z
-        val = 2.0 * pi * (b_perp * a_z + a_perp * b_z)
-        err = 2.0 * pi * (
-            db_perp * a_z + b_perp * da_z + da_perp * b_z + a_perp * db_z
+def _disc_ab(s: float) -> tuple[float, float]:
+    """A_perp = int_0^inf u e^(-u^2) |2 J1(us)/(us)|^2 du and B_perp (u^3)."""
+    if s < _DISC_SWITCH:
+        s2 = s * s
+        return (
+            float(np.polynomial.polynomial.polyval(s2, _A_PERP_SERIES)),
+            float(np.polynomial.polynomial.polyval(s2, _B_PERP_SERIES)),
         )
-        return val, err, gk.failed
+    x = 0.5 * s * s
+    i1 = float(i1e(x))
+    return 2.0 * (1.0 - float(i0e(x)) - i1) / s / s, 2.0 * i1 / s / s
 
-    if isinstance(model, (Cuboid, LayeredStack)):
-        ab: dict[str, tuple[float, float, float, float]] = {}
-        for axis, ext in zip("xyz", (ex, ey, ez)):
 
-            def f2(u, axis=axis):
-                return _abs2(separable_factors(model, axis, u / r_c))
+def _sphere_reduction(s: float) -> float:
+    """Reduction factor of a uniform ball of radius s r_c."""
+    y = s * s
+    if s < _SPHERE_SWITCH:
+        return float(np.polynomial.polynomial.polyval(y, _SPHERE_SERIES))
+    return 6.0 * ((y - 2.0) + (y + 2.0) * exp(-y)) / y / y / y
 
-            a, da = gk(lambda u: np.exp(-u * u) * f2(u), ext)
-            b, db = gk(lambda u: np.exp(-u * u) * u * u * f2(u), ext)
-            ab[axis] = (2.0 * a, 2.0 * da, 2.0 * b, 2.0 * db)
-        val = 0.0
-        err = 0.0
-        for i in "xyz":
-            others = [ab[j] for j in "xyz" if j != i]
-            a1, da1, _, _ = others[0]
-            a2, da2, _, _ = others[1]
-            _, _, bi, dbi = ab[i]
-            val += bi * a1 * a2
-            err += dbi * a1 * a2 + bi * da1 * a2 + bi * a1 * da2
-        return val, err, gk.failed
 
-    raise TypeError(f"not a mass model: {model!r}")
+def _shape_integral(model: MassModel, r_c: float) -> float:
+    """I3 = integral d^3u e^(-u^2) u^2 |f(u/r_c)|^2, in closed form."""
+    if isinstance(model, PointMass):
+        return I3_FREE
+    if isinstance(model, Sphere):
+        return I3_FREE * _sphere_reduction(model.radius / r_c)
+    if isinstance(model, Cylinder):
+        a_perp, b_perp = _disc_ab(model.radius / r_c)
+        a_z, b_z = _profile_ab([model.height / r_c], [1.0])
+        return 2.0 * pi * (b_perp * a_z + a_perp * b_z)
+    if isinstance(model, Cuboid):
+        axes = [_profile_ab([w / r_c], [1.0]) for w in (model.lx, model.ly, model.lz)]
+    elif isinstance(model, LayeredStack):
+        axes = [
+            _profile_ab([model.lx / r_c], [1.0]),
+            _profile_ab([model.ly / r_c], [1.0]),
+            _profile_ab(
+                [layer.thickness / r_c for layer in model.layers],
+                [layer.material.density for layer in model.layers],
+            ),
+        ]
+    else:
+        raise TypeError(f"not a mass model: {model!r}")
+    (a_x, b_x), (a_y, b_y), (a_z, b_z) = axes
+    return b_x * a_y * a_z + a_x * b_y * a_z + a_x * a_y * b_z
 
 
 def gamma_cm(
     model: MassModel, csl: CslParams, quad: QuadratureSpec
 ) -> PowerEstimate:
-    """Center-of-mass heating rate [W] by deterministic quadrature."""
-    i3, i3_err, failed = _shape_integral(model, csl.r_c, quad)
-    pref = _cm_prefactor(total_mass(model), csl)
-    if failed:
-        raise QuadratureNotConverged(
-            "; ".join(failed), pref * i3, pref * i3_err
-        )
-    return PowerEstimate(pref * i3, pref * i3_err)
+    """Center-of-mass heating rate [W] from the closed-form shape integral.
+
+    The error is the value times REL_ERROR; quad is not read (the closed
+    forms need no numerical controls).
+    """
+    value = gamma_total(total_mass(model), csl) * (
+        _shape_integral(model, csl.r_c) / I3_FREE
+    )
+    return PowerEstimate(value, REL_ERROR * value)
 
 
 def gamma_cm_mc(
@@ -247,6 +261,11 @@ def gamma_cm_mc(
     if isinstance(model, (Cuboid, LayeredStack)):
         return _mc_separable(model, csl, quad, rng)
     return _mc_generic(model, csl, quad, rng)
+
+
+def _abs2(z) -> np.ndarray:
+    z = np.asarray(z)
+    return z.real**2 + z.imag**2
 
 
 def _mc_generic(model, csl, quad, rng) -> PowerEstimate:
@@ -294,7 +313,7 @@ def _mc_separable(model, csl, quad, rng) -> PowerEstimate:
         d_a = est[j][2] * est[l][0] + est[l][2] * est[j][0]  # dI3/dA_ax
         d_b = est[j][0] * est[l][0]  # dI3/dB_ax
         var += (d_a * est[ax][1]) ** 2 + (d_b * est[ax][3]) ** 2
-    pref = _cm_prefactor(total_mass(model), csl)
+    pref = gamma_total(total_mass(model), csl) / I3_FREE
     return PowerEstimate(pref * i3, pref * sqrt(var))
 
 
@@ -303,28 +322,9 @@ def gamma_internal(
 ) -> float:
     """Internal heating rate [W]: gamma_total - gamma_cm, clamped at zero.
 
-    A slightly negative difference (within rel_tol of gamma_total) is a
-    quadrature artifact and is clamped to zero; anything more negative
-    raises, since |mu_tilde| <= M makes the true value nonnegative.
+    See heating_report for the clamp.
     """
-    value, _ = _internal(model, csl, quad)
-    return value
-
-
-def _internal(
-    model: MassModel, csl: CslParams, quad: QuadratureSpec
-) -> tuple[float, bool]:
-    gt = gamma_total(total_mass(model), csl)
-    gcm = gamma_cm(model, csl, quad)
-    diff = gt - gcm.value
-    if diff >= 0.0:
-        return diff, False
-    if diff >= -quad.rel_tol * gt:
-        return 0.0, True
-    raise ArithmeticError(
-        f"gamma_cm exceeds gamma_total by {-diff:.3e} W, "
-        f"beyond the quadrature tolerance {quad.rel_tol * gt:.3e} W"
-    )
+    return heating_report(model, csl, quad).gamma_int
 
 
 def heating_report(
@@ -334,29 +334,28 @@ def heating_report(
 
     The reduction factor is computed from the shape integral alone, so it
     stays defined (and shape-meaningful) even at lambda = 0 where all
-    rates vanish.
+    rates vanish.  A slightly negative internal rate (within quad.rel_tol
+    of gamma_total) is rounding and is clamped to zero; anything more
+    negative raises, since |mu_tilde| <= M makes the true value
+    nonnegative.
     """
-    i3, i3_err, failed = _shape_integral(model, csl.r_c, quad)
-    mass = total_mass(model)
-    pref = _cm_prefactor(mass, csl)
-    if failed:
-        raise QuadratureNotConverged("; ".join(failed), pref * i3, pref * i3_err)
-    gt = gamma_total(mass, csl)
-    gcm = pref * i3
+    reduction = _shape_integral(model, csl.r_c) / I3_FREE
+    gt = gamma_total(total_mass(model), csl)
+    gcm = gt * reduction
     diff = gt - gcm
     clamped = False
     if diff < 0.0:
         if diff < -quad.rel_tol * gt:
             raise ArithmeticError(
                 f"gamma_cm exceeds gamma_total by {-diff:.3e} W, "
-                f"beyond the quadrature tolerance {quad.rel_tol * gt:.3e} W"
+                f"beyond the tolerance {quad.rel_tol * gt:.3e} W"
             )
         diff, clamped = 0.0, True
     return HeatingReport(
         gamma_total=gt,
         gamma_cm=gcm,
         gamma_int=diff,
-        reduction_factor=i3 / I3_FREE,
-        quadrature_estimate_error=i3_err / i3 if i3 > 0 else 0.0,
+        reduction_factor=reduction,
+        quadrature_estimate_error=REL_ERROR,
         internal_clamped=clamped,
     )

@@ -170,14 +170,19 @@ def test_criterion_04_double_commutator_identity():
 
 
 def test_criterion_05_oracle_triangle():
-    with criterion(5, "quadrature, Monte-Carlo, lattice sum agree pairwise on 5 geometries"):
+    from conftest import gamma_cm_quadrature
+
+    with criterion(5, "quadrature, Monte-Carlo, lattice sum agree pairwise on 5 geometries; "
+                      "the closed form matches quadrature (rel 1e-11)"):
         for name, model in regression_geometries().items():
-            det = gamma_cm(model, CSL, QUAD)
+            det = gamma_cm_quadrature(model, CSL, QUAD)
             mc = gamma_cm_mc(model, CSL, QUAD)
             lat = lattice_gamma(name, model)
             assert agree(det.value, mc.value, math.hypot(det.error, mc.error)), name
             assert agree(det.value, lat, det.error), name
             assert agree(mc.value, lat, mc.error), name
+            closed = gamma_cm(model, CSL, QUAD)
+            assert closed.value == pytest.approx(det.value, rel=1e-11), name
 
 
 def test_criterion_06_splitting_and_sign():

@@ -119,6 +119,27 @@ def test_exit_2_on_invalid_value(tmp_path, capsys):
     assert "csl.r_c" in err
 
 
+@pytest.mark.parametrize(
+    "spec_file, replace, field",
+    [
+        ("point.json", ('"lambda": 1e-16', '"lambda": Infinity'), "csl.lambda"),
+        ("cube_large.json", ('"lx": 1e-06', '"lx": 1e999'), "mass_model.lx"),
+        ("point.json", ('"type": "point"', '"type": "point", "offset": [0, "a", 0]'),
+         "mass_model.offset"),
+        ("point.json", ('"lambda": 1e-16', '"lambda": NaN'), "csl.lambda"),
+    ],
+)
+def test_exit_2_on_non_finite_or_non_numeric(tmp_path, capsys, spec_file, replace, field):
+    text = (SPECS / spec_file).read_text()
+    assert replace[0] in text
+    path = tmp_path / "bad.json"
+    path.write_text(text.replace(replace[0], replace[1]))
+    code, out, err = run(capsys, "heat", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert field in err
+
+
 def test_exit_2_on_missing_file(capsys):
     code, _, _ = run(capsys, "heat", "--spec", "/nonexistent/spec.json")
     assert code == 2
@@ -138,17 +159,6 @@ def test_exit_3_on_compute_error(tmp_path, capsys):
     code, _, err = run(capsys, "bound", "--spec", str(path))
     assert code == 3
     assert "compute error" in err
-
-
-def test_threads_env_fallback(monkeypatch, capsys):
-    monkeypatch.setenv("CSL_MASSMODEL_THREADS", "4")
-    code, out, _ = run(capsys, "heat", "--spec", str(SPECS / "point.json"))
-    assert code == 0
-    assert json.loads(out)["threads"] == 4
-    code, out, _ = run(
-        capsys, "heat", "--spec", str(SPECS / "point.json"), "--threads", "2"
-    )
-    assert json.loads(out)["threads"] == 2
 
 
 def test_exit_4_on_infeasible_design(tmp_path, capsys):
@@ -238,3 +248,18 @@ def test_byte_reproducibility(capsys, argv):
     code2, out2, _ = run(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_parser_reuse_keeps_output(capsys):
+    from cslheat import cli
+
+    heat = ("heat", "--spec", str(SPECS / "point.json"), "--mc", "--seed", "5")
+    scan = ("scan", "--spec", str(SPECS / "point.json"), "--csv",
+            "--rc-min", "1e-8", "--rc-max", "1e-6", "--num", "3")
+    first = {}
+    for argv in (heat, scan):
+        cli.build_parser.cache_clear()
+        first[argv] = run(capsys, *argv)
+    assert all(code == 0 for code, _, _ in first.values())
+    for argv in (scan, heat, scan, heat):
+        assert run(capsys, *argv) == first[argv]

@@ -17,7 +17,6 @@ from cslheat import (
     TooManySites,
     build_lattice,
     f_double_commutator,
-    gamma_cm,
     gamma_cm_discrete,
     gamma_cm_discrete_separable,
     gamma_total,
@@ -27,6 +26,7 @@ from cslheat import (
     mu_tilde_discrete,
     total_mass,
 )
+from conftest import gamma_cm_quadrature
 
 R_C = 1e-7
 CSL = CslParams(1e-16, R_C)
@@ -218,7 +218,7 @@ class TestGammaCmDiscrete:
     def test_converges_to_quadrature(self):
         quad = QuadratureSpec()
         cube = Cuboid(2 * R_C, 2 * R_C, 2 * R_C, SILICON)
-        target = gamma_cm(cube, CSL, quad).value
+        target = gamma_cm_quadrature(cube, CSL, quad).value
         errs = []
         for d in (R_C / 10, R_C / 20, R_C / 40):
             errs.append(
@@ -259,7 +259,7 @@ class TestGammaCmDiscrete:
             Layer(heavy if i % 2 == 0 else light, R_C) for i in range(16)
         )
         stack = LayeredStack(10 * R_C, 10 * R_C, layers)
-        quad_val = gamma_cm(stack, CSL, QuadratureSpec()).value
+        quad_val = gamma_cm_quadrature(stack, CSL, QuadratureSpec()).value
         lat_val = gamma_cm_discrete_separable(stack, CSL, R_C / 40)
         assert lat_val == pytest.approx(quad_val, rel=1e-3)
 
