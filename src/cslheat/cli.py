@@ -50,6 +50,8 @@ class TaskError(ValueError):
 def _load(args) -> ExperimentSpec:
     spec = load_spec(args.spec)
     if args.seed is not None:
+        if args.seed < 0:
+            raise TaskError(f"--seed must be >= 0, got {args.seed}")
         spec = with_seed(spec, args.seed)
     return spec
 
@@ -81,17 +83,39 @@ def _emit_json(args, payload: dict) -> None:
     _emit(args, json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
-def _task(spec: ExperimentSpec, key: str, kind=float):
+def _task_number(value, field: str, kind=float):
+    """value as a finite float, or an integral int for kind=int; else TaskError."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise TaskError(f"{field}: {exc}") from exc
+    if not math.isfinite(number):
+        raise TaskError(f"{field}: must be finite, got {value!r}")
+    if kind is int:
+        if not number.is_integer():
+            raise TaskError(f"{field}: must be an integer, got {value!r}")
+        return int(number)
+    return number
+
+
+def _task(spec: ExperimentSpec, key: str, kind=float, default=None):
+    """The checked task number at key, or default when the key is absent.
+
+    A key without a default (default None) is required.
+    """
     task = spec.task or {}
     if key not in task:
-        raise TaskError(f"task.{key} is required for this command")
-    try:
-        value = kind(task[key])
-    except (TypeError, ValueError) as exc:
-        raise TaskError(f"task.{key}: {exc}") from exc
-    if not math.isfinite(value):
-        raise TaskError(f"task.{key}: must be finite, got {value!r}")
-    return value
+        if default is None:
+            raise TaskError(f"task.{key} is required for this command")
+        return default
+    return _task_number(task[key], f"task.{key}", kind)
+
+
+def _task_list(spec: ExperimentSpec, key: str, kind=float) -> list:
+    values = (spec.task or {}).get(key)
+    if not isinstance(values, list):
+        raise TaskError(f"task.{key} must be a list of numbers")
+    return [_task_number(v, f"task.{key}[{i}]", kind) for i, v in enumerate(values)]
 
 
 def _task_material(spec: ExperimentSpec, key: str):
@@ -181,23 +205,23 @@ def cmd_scan(args) -> int:
             raise TaskError("--rc-min, --rc-max, and --num go together")
         grid = np.geomspace(args.rc_min, args.rc_max, args.num).tolist()
     elif "rc_grid" in task:
-        grid = [float(v) for v in task["rc_grid"]]
+        grid = _task_list(spec, "rc_grid")
     elif {"rc_min", "rc_max", "num"} <= task.keys():
         grid = np.geomspace(
-            float(task["rc_min"]), float(task["rc_max"]), int(task["num"])
+            _task(spec, "rc_min"), _task(spec, "rc_max"), _task(spec, "num", int)
         ).tolist()
     else:
         raise TaskError(
             "task needs rc_grid or (rc_min, rc_max, num), "
             "or pass --rc-min/--rc-max/--num"
         )
-    observed = task.get("observed_power")
+    observed = _task(spec, "observed_power") if "observed_power" in task else None
     try:
         table = scan_rc(
             spec.mass_model,
             grid,
             spec.quadrature,
-            observed_power=None if observed is None else float(observed),
+            observed_power=observed,
             metadata={"spec_hash": spec_hash(spec)},
         )
     except ValueError as exc:
@@ -215,7 +239,7 @@ def _design_family(spec: ExperimentSpec):
     mat_b = _task_material(spec, "material_b")
     lx = _task(spec, "lx")
     ly = _task(spec, "ly")
-    ratio = float((spec.task or {}).get("mass_ratio", 1.0))
+    ratio = _task(spec, "mass_ratio", default=1.0)
     return total, (mat_a, mat_b), (lx, ly), ratio
 
 
@@ -241,15 +265,12 @@ def cmd_discriminate(args) -> int:
     if spec.thermal is None:
         raise TaskError("the spec needs a thermal block for this command")
     total, mats, cross, ratio = _design_family(spec)
-    task = spec.task or {}
-    if "designs" not in task or not isinstance(task["designs"], list):
-        raise TaskError("task.designs must list the candidate pair counts")
-    pair_counts = [int(n) for n in task["designs"]]
+    pair_counts = _task_list(spec, "designs", int)
     designs = [
         design_stack(total, mats[0], mats[1], cross[0], cross[1], n, ratio)
         for n in pair_counts
     ]
-    threshold = float(task.get("threshold", 0.1))
+    threshold = _task(spec, "threshold", default=0.1)
     report = discriminability_report(
         designs, spec.csl, spec.thermal, spec.quadrature, threshold=threshold
     )

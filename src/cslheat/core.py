@@ -98,8 +98,8 @@ class QuadratureSpec:
                 (see heating.heating_report)
     u_max       |k| * r_c cutoff of the adaptive-quadrature oracle of the
                 tests (Gaussian tail exp(-u_max^2) is 1.6e-28 at 8)
-    mc_samples  Monte-Carlo sample count
-    rng_seed    seed of the counter-based (Philox) generator
+    mc_samples  Monte-Carlo sample count, an integer >= 1000
+    rng_seed    seed of the counter-based (Philox) generator, an integer >= 0
     """
 
     rel_tol: float = 1e-9
@@ -165,6 +165,13 @@ def _finite(val, field: str) -> float:
 
 def _number(obj: dict, key: str, path: str) -> float:
     return _finite(obj[key], f"{path}.{key}")
+
+
+def _integer(obj: dict, key: str, path: str) -> int:
+    val = _number(obj, key, path)
+    if not val.is_integer():
+        raise ValidationError(f"{path}.{key}", f"expected an integer, got {obj[key]!r}")
+    return int(val)
 
 
 def _vector3(obj: dict, key: str, path: str) -> tuple[float, float, float]:
@@ -305,8 +312,8 @@ def loads_spec(text: str) -> ExperimentSpec:
     quadrature = QuadratureSpec(
         rel_tol=_number(merged, "rel_tol", "quadrature"),
         u_max=_number(merged, "u_max", "quadrature"),
-        mc_samples=int(_number(merged, "mc_samples", "quadrature")),
-        rng_seed=int(_number(merged, "rng_seed", "quadrature")),
+        mc_samples=_integer(merged, "mc_samples", "quadrature"),
+        rng_seed=_integer(merged, "rng_seed", "quadrature"),
     )
 
     task = doc.get("task")
@@ -401,6 +408,8 @@ def validate_spec(spec: ExperimentSpec) -> list[Violation]:
         out.append(Violation("quadrature.u_max", "must be >= 6"))
     if not (q.mc_samples >= 1000):
         out.append(Violation("quadrature.mc_samples", "must be >= 1000"))
+    if not (q.rng_seed >= 0):
+        out.append(Violation("quadrature.rng_seed", "must be >= 0"))
     return out
 
 

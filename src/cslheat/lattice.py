@@ -20,13 +20,14 @@ brute-force checks live here:
 
     with D = |R_l - R_l'| / r_c, so this route involves no quadrature at
     all; its only deviation from the continuum value is the lattice
-    discretization itself.  For product-grid lattices (cuboids, layered
-    stacks) the pair sum factorizes over axes and is evaluated from the
-    1D marginals, with Gaussian decay truncating the pair band.
+    discretization itself.  The general pair sum takes row blocks of
+    bounded size.  For product-grid lattices (cuboids, layered stacks) it
+    factorizes over axes into 1D marginal sums, banded by index offset
+    on every axis of uniform pitch.
 
-Sites are filled on a simple cubic grid (cell centers inside the body)
-and the site masses are rescaled by one overall factor so the lattice
-mass matches the model exactly at any spacing.
+Sites are filled on a simple cubic grid (cell centers inside the body,
+tested on the three broadcast 1D axes) and the site masses are rescaled
+by one overall factor so the lattice mass matches the model exactly.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ DEFAULT_SITE_CAP = 100_000_000
 # pair-phase Gaussian exp(-D^2/4) with the (3/2 - D^2/4) polynomial is
 # below 1e-16 relative for D > 14
 _PAIR_BAND_D = 16.0
+# pair entries per row block of gamma_cm_discrete: its two work buffers
+# (1 MB) stay in cache; blocks of 2^20 entries ran 1.4-2x slower
+_PAIR_BLOCK = 1 << 16
 
 
 class TooManySites(RuntimeError):
@@ -116,44 +120,31 @@ def build_lattice(
         raise TooManySites(
             f"grid of {n_total} candidate sites exceeds the cap {site_cap}"
         )
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    pos = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-    rel = pos - center
-
-    if isinstance(model, Cuboid):
-        inside = (
-            (np.abs(rel[:, 0]) <= 0.5 * model.lx)
-            & (np.abs(rel[:, 1]) <= 0.5 * model.ly)
-            & (np.abs(rel[:, 2]) <= 0.5 * model.lz)
-        )
-        density = np.full(len(pos), model.material.density)
-    elif isinstance(model, Sphere):
-        inside = np.einsum("ij,ij->i", rel, rel) <= model.radius**2
-        density = np.full(len(pos), model.material.density)
+    x, y, z = np.ix_(*(a - c for a, c in zip(axes, center)))
+    if isinstance(model, Sphere):
+        inside = x * x + y * y + z * z <= model.radius**2
     elif isinstance(model, Cylinder):
-        inside = (rel[:, 0] ** 2 + rel[:, 1] ** 2 <= model.radius**2) & (
-            np.abs(rel[:, 2]) <= 0.5 * model.height
-        )
-        density = np.full(len(pos), model.material.density)
-    elif isinstance(model, LayeredStack):
-        h = model.height
-        inside = (
-            (np.abs(rel[:, 0]) <= 0.5 * model.lx)
-            & (np.abs(rel[:, 1]) <= 0.5 * model.ly)
-            & (np.abs(rel[:, 2]) <= 0.5 * h)
-        )
-        bounds = -0.5 * h + np.cumsum([0.0] + [l.thickness for l in model.layers])
+        inside = (x**2 + y**2 <= model.radius**2) & (np.abs(z) <= 0.5 * model.height)
+    else:  # cuboid or layered stack: the bounding box
+        inside = (np.abs(x) <= 0.5 * ext[0]) & (np.abs(y) <= 0.5 * ext[1])
+        inside = inside & (np.abs(z) <= 0.5 * ext[2])
+    if isinstance(model, LayeredStack):
+        bounds = -0.5 * ext[2] + np.cumsum([0.0] + [l.thickness for l in model.layers])
         rho = np.array([l.material.density for l in model.layers])
-        idx = np.clip(np.searchsorted(bounds, rel[:, 2], side="right") - 1,
+        idx = np.clip(np.searchsorted(bounds, z.ravel(), side="right") - 1,
                       0, len(rho) - 1)
-        density = rho[idx]
+        density = rho[idx]  # per z plane
     else:
-        raise TypeError(f"not a mass model: {model!r}")
+        density = model.material.density
 
-    pos = pos[inside]
-    masses = density[inside] * spacing**3
-    if len(masses) == 0:
+    n_sites = np.count_nonzero(inside)
+    if n_sites == 0:
         raise ValueError("no lattice site fell inside the body; reduce spacing")
+    # masking the broadcast axes gathers the sites in C (x-major) order
+    pos = np.empty((n_sites, 3))
+    for k, a in enumerate(np.ix_(*axes)):
+        pos[:, k] = np.broadcast_to(a, inside.shape)[inside]
+    masses = np.broadcast_to(density, inside.shape)[inside] * spacing**3
     masses *= total_mass(model) / np.sum(masses)
     return Lattice(masses=masses, positions=pos, cell_volume=spacing**3)
 
@@ -210,20 +201,29 @@ def gamma_cm_discrete(
 ) -> float:
     """Center-of-mass heating rate [W] by the exact pairwise Gaussian sum.
 
-    O(N^2) over site pairs; use gamma_cm_discrete_separable for fine
-    lattices of separable bodies.
+    O(N^2) time over site pairs, taken in row blocks of _PAIR_BLOCK pair
+    entries, so memory is bounded per block and does not grow with N^2;
+    use gamma_cm_discrete_separable for fine lattices of separable bodies.
     """
-    n = len(lat.masses)
+    m, n = lat.masses, len(lat.masses)
     if n * n > max_pairs:
         raise TooManySites(f"{n}^2 site pairs exceed the cap {max_pairs}")
-    inv4rc2 = 1.0 / (4.0 * csl.r_c**2)
-    chunk = max(1, 4_000_000 // n)
+    # summed per-axis differences, not |x|^2 + |y|^2 - 2 x.y, which cancels
+    # for bodies much larger than r_c; centered before scaling, so rounding
+    # scales with the body size, not with its distance from the origin
+    centered = lat.positions - lat.positions[0]
+    axes = np.ascontiguousarray(centered.T / (2.0 * csl.r_c))
+    step = max(1, _PAIR_BLOCK // n)
+    q_buf, t_buf = np.empty((2, min(step, n), n))
     parts = []
-    for i in range(0, n, chunk):
-        diff = lat.positions[i : i + chunk, None, :] - lat.positions[None, :, :]
-        q = np.einsum("ijk,ijk->ij", diff, diff) * inv4rc2
-        w = np.exp(-q) * (1.5 - q)
-        parts.append(float(lat.masses[i : i + chunk] @ w @ lat.masses))
+    for i in range(0, n, step):
+        q, t = q_buf[: n - i], t_buf[: n - i]
+        q.fill(0.0)
+        for u in axes:
+            q += np.square(np.subtract.outer(u[i : i + step], u, out=t), out=t)
+        np.exp(np.negative(q, out=t), out=t)
+        np.multiply(np.subtract(1.5, q, out=q), t, out=q)  # e^-q (3/2 - q)
+        parts.append(float(m[i : i + step] @ q @ m))
     s = fsum(parts)
     c = CONSTANTS
     return (
@@ -239,27 +239,26 @@ def gamma_cm_discrete(
 def _axis_pair_sums(
     positions: np.ndarray, weights: np.ndarray, r_c: float, pitch: float | None
 ) -> tuple[float, float]:
-    """(Q, P) = sum_{ab} w_a w_b e^{-d^2/4} {1, (1/2 - d^2/4)}, d in r_c units."""
+    """(Q, P) = sum_{ab} w_a w_b e^{-d^2/4} {1, (1/2 - d^2/4)}, d in r_c units.
+
+    On an axis of uniform `pitch` the pair distance depends only on the
+    index offset, and the Gaussian kills offsets beyond _PAIR_BAND_D r_c:
+    one dot product per offset in the band, O(n * band) time and O(n)
+    memory (np.correlate over all offsets would be O(n^2)).  Only an axis
+    of mixed pitches (pitch None) takes the dense n x n pair matrix.
+    """
     w = weights / np.sum(weights)
     n = len(w)
-    if pitch is not None and n > 4096:
-        # uniform grid: pair distance depends only on the index offset, and
-        # the Gaussian kills offsets beyond the band
-        band = min(n - 1, int(ceil(_PAIR_BAND_D * r_c / pitch)))
-        offsets = np.arange(band + 1)
-        d2q = (offsets * pitch / r_c) ** 2 / 4.0
-        g = np.exp(-d2q)
-        corr = np.array([w @ w if o == 0 else w[:-o] @ w[o:] for o in offsets])
-        mult = np.where(offsets == 0, 1.0, 2.0)
-        q_sum = float(np.sum(mult * corr * g))
-        p_sum = float(np.sum(mult * corr * (0.5 - d2q) * g))
-        return q_sum, p_sum
-    d = (positions[:, None] - positions[None, :]) / r_c
-    q = d * d / 4.0
+    if pitch is None:
+        q = ((positions[:, None] - positions[None, :]) / r_c) ** 2 / 4.0
+        g = np.exp(-q)
+        return float(w @ g @ w), float(w @ ((0.5 - q) * g) @ w)
+    offsets = np.arange(min(n - 1, ceil(_PAIR_BAND_D * r_c / pitch)) + 1)
+    q = (offsets * pitch / r_c) ** 2 / 4.0
     g = np.exp(-q)
-    q_sum = float(w @ g @ w)
-    p_sum = float(w @ ((0.5 - q) * g) @ w)
-    return q_sum, p_sum
+    corr = np.array([w[: n - o] @ w[o:] for o in offsets])
+    corr[1:] *= 2.0  # offsets +o and -o
+    return float(corr @ g), float(corr @ ((0.5 - q) * g))
 
 
 def _axis_marginals(model, spacing):

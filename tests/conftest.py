@@ -10,16 +10,22 @@ i3_quadrature integrates the shape integral I3 of the heating rate by
 adaptive Gauss-Kronrod quadrature of the analytic form factors, the
 route the closed forms in cslheat.heating replaced; gamma_cm_quadrature
 turns it into a rate.
+
+full_grid_lattice and gamma_cm_pair_tensor are the straightforward
+lattice constructions that cslheat.lattice replaced: a meshgrid of every
+candidate site masked by N x 3 coordinate tests, and the pair sum from
+the full (N, N, 3) difference tensor.
 """
 
 from __future__ import annotations
 
-from math import pi
+from math import ceil, pi
 
 import numpy as np
 import pytest
 
 from cslheat import (
+    CONSTANTS,
     Cuboid,
     Cylinder,
     Layer,
@@ -249,3 +255,53 @@ def gamma_cm_quadrature(model, csl, quad) -> PowerEstimate:
     i3, err = i3_quadrature(model, csl.r_c, quad)
     pref = gamma_total(total_mass(model), csl) / I3_FREE
     return PowerEstimate(pref * i3, pref * err)
+
+
+def full_grid_lattice(model, spacing):
+    """(positions, masses) of build_lattice, from the full candidate grid."""
+
+    def axis_centers(center, extent):
+        n = max(1, ceil(extent / spacing - 1e-9))
+        return center + (np.arange(n) - 0.5 * (n - 1)) * spacing
+
+    ext = extents(model)
+    center = np.asarray(model.offset, dtype=float)
+    axes = [axis_centers(center[i], ext[i]) for i in range(3)]
+    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
+    pos = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
+    rel = pos - center
+    if isinstance(model, Sphere):
+        inside = np.einsum("ij,ij->i", rel, rel) <= model.radius**2
+    elif isinstance(model, Cylinder):
+        inside = (rel[:, 0] ** 2 + rel[:, 1] ** 2 <= model.radius**2) & (
+            np.abs(rel[:, 2]) <= 0.5 * model.height
+        )
+    else:
+        inside = np.all(np.abs(rel) <= 0.5 * np.asarray(ext), axis=1)
+    if isinstance(model, LayeredStack):
+        bounds = -0.5 * model.height + np.cumsum(
+            [0.0] + [l.thickness for l in model.layers]
+        )
+        rho = np.array([l.material.density for l in model.layers])
+        idx = np.clip(
+            np.searchsorted(bounds, rel[:, 2], side="right") - 1, 0, len(rho) - 1
+        )
+        density = rho[idx]
+    else:
+        density = np.full(len(pos), model.material.density)
+    pos = pos[inside]
+    masses = density[inside] * spacing**3
+    masses *= total_mass(model) / np.sum(masses)
+    return pos, masses
+
+
+def gamma_cm_pair_tensor(lat, csl) -> float:
+    """gamma_cm_discrete from the full (N, N, 3) pair-difference tensor."""
+    diff = lat.positions[:, None, :] - lat.positions[None, :, :]
+    q = np.einsum("ijk,ijk->ij", diff, diff) / (4.0 * csl.r_c**2)
+    s = lat.masses @ (np.exp(-q) * (1.5 - q)) @ lat.masses
+    c = CONSTANTS
+    return (
+        csl.lambda_rate * c.hbar**2 / (2.0 * lat.total_mass * c.m_nucleon**2)
+        / csl.r_c**2 * s
+    )

@@ -140,6 +140,69 @@ def test_exit_2_on_non_finite_or_non_numeric(tmp_path, capsys, spec_file, replac
     assert field in err
 
 
+def _run_edited(tmp_path, capsys, spec_file, edit, *argv):
+    doc = json.loads((SPECS / spec_file).read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return run(capsys, argv[0], "--spec", str(path), *argv[1:])
+
+
+@pytest.mark.parametrize(
+    "command, spec_file, task, field",
+    [
+        ("scan", "point.json", {"rc_grid": [1e-7, "Infinity"]}, "task.rc_grid[1]"),
+        ("scan", "point.json", {"rc_grid": 1e-7}, "task.rc_grid"),
+        ("scan", "point.json", {"rc_min": 1e-7, "rc_max": "NaN", "num": 3},
+         "task.rc_max"),
+        ("scan", "point.json", {"rc_min": 1e-7, "rc_max": 1e-6, "num": 2.5},
+         "task.num"),
+        ("scan", "point.json", {"rc_grid": [1e-7], "observed_power": "Infinity"},
+         "task.observed_power"),
+        ("discriminate", "discriminate.json", {"threshold": "NaN"}, "task.threshold"),
+        ("discriminate", "discriminate.json", {"mass_ratio": "Infinity"},
+         "task.mass_ratio"),
+        ("discriminate", "discriminate.json", {"designs": [1, "Infinity"]},
+         "task.designs[1]"),
+    ],
+)
+def test_exit_2_on_bad_task_number(tmp_path, capsys, command, spec_file, task, field):
+    def edit(doc):
+        doc["task"] = {**doc.get("task", {}), **task}
+
+    code, out, err = _run_edited(tmp_path, capsys, spec_file, edit, command)
+    assert code == 2
+    assert out == ""
+    assert field in err
+
+
+@pytest.mark.parametrize(
+    "quadrature, argv, field",
+    [
+        ({"rng_seed": -1}, (), "quadrature.rng_seed"),
+        ({"mc_samples": 5000.5}, (), "quadrature.mc_samples"),
+        ({}, ("--seed", "-1"), "--seed"),
+    ],
+)
+def test_exit_2_on_bad_mc_settings(tmp_path, capsys, quadrature, argv, field):
+    code, out, err = _run_edited(
+        tmp_path, capsys, "point.json", lambda doc: doc.update(quadrature=quadrature),
+        "heat", "--mc", *argv,
+    )
+    assert code == 2
+    assert out == ""
+    assert field in err
+
+
+def test_integral_float_mc_samples_accepted(tmp_path, capsys):
+    code, out, _ = _run_edited(
+        tmp_path, capsys, "point.json",
+        lambda doc: doc.update(quadrature={"mc_samples": 5000.0}), "heat", "--mc",
+    )
+    assert code == 0
+    assert json.loads(out)["quadrature"]["mc_samples"] == 5000
+
+
 def test_exit_2_on_missing_file(capsys):
     code, _, _ = run(capsys, "heat", "--spec", "/nonexistent/spec.json")
     assert code == 2

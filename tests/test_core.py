@@ -172,13 +172,14 @@ class TestValidateSpec:
     def test_bad_quadrature(self):
         violations = validate_spec(
             self._spec(quadrature=QuadratureSpec(rel_tol=0.5, u_max=2.0,
-                                                 mc_samples=10))
+                                                 mc_samples=10, rng_seed=-1))
         )
         fields = {v.field for v in violations}
         assert fields == {
             "quadrature.rel_tol",
             "quadrature.u_max",
             "quadrature.mc_samples",
+            "quadrature.rng_seed",
         }
 
     def test_point_mass_zero(self):

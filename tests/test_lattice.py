@@ -1,5 +1,7 @@
 """Discrete-lattice oracles: construction, direct sums, commutator identity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from cslheat import (
     CONSTANTS,
     CslParams,
     Cuboid,
+    Cylinder,
     Layer,
     LayeredStack,
     Lattice,
@@ -26,7 +29,8 @@ from cslheat import (
     mu_tilde_discrete,
     total_mass,
 )
-from conftest import gamma_cm_quadrature
+from cslheat.lattice import _axis_marginals, _axis_pair_sums
+from conftest import full_grid_lattice, gamma_cm_pair_tensor, gamma_cm_quadrature
 
 R_C = 1e-7
 CSL = CslParams(1e-16, R_C)
@@ -57,7 +61,7 @@ class TestBuildLattice:
     def test_sphere_mass_rescaled_exactly(self):
         sph = Sphere(2e-7, SILICON)
         lat = build_lattice(sph, 1e-8)
-        assert lat.total_mass == pytest.approx(total_mass(sph), rel=1e-14)
+        assert lat.total_mass == pytest.approx(total_mass(sph), rel=1e-14, abs=0)
         assert np.all(np.linalg.norm(lat.positions, axis=1) <= 2e-7)
 
     def test_stack_density_profile(self):
@@ -66,7 +70,7 @@ class TestBuildLattice:
         lat = build_lattice(stack, 5e-8)
         lower = lat.positions[:, 2] < 0
         ratio = lat.masses[lower].sum() / lat.masses[~lower].sum()
-        assert ratio == pytest.approx(10.0, rel=1e-9)
+        assert ratio == pytest.approx(10.0, rel=1e-9, abs=0)
 
     def test_site_cap(self):
         with pytest.raises(TooManySites):
@@ -81,12 +85,36 @@ class TestBuildLattice:
         with pytest.raises(ValueError):
             build_lattice(Cuboid(1e-7, 1e-7, 1e-7, SILICON), 2e-7)
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            Cuboid(2.3 * R_C, 1.7 * R_C, 3.1 * R_C, SILICON, (1e-7, -3e-8, 2e-6)),
+            Sphere(2.2 * R_C, SILICON, (3e-8, 0.0, -1e-7)),
+            Sphere(2.0 * R_C, SILICON),
+            Cylinder(1.5 * R_C, 3.3 * R_C, SILICON, (0.0, 1e-6, 0.0)),
+            LayeredStack(
+                4.1 * R_C, 3.0 * R_C,
+                (Layer(Material("h", 2000.0), 1.0 * R_C),
+                 Layer(Material("l", 200.0), 1.3 * R_C),
+                 Layer(Material("h", 2000.0), 0.7 * R_C)),
+                (5e-7, 0.0, 1e-7),
+            ),
+        ],
+        ids=["cuboid", "sphere", "sphere-centered", "cylinder", "stack"],
+    )
+    @pytest.mark.parametrize("spacing", [R_C / 7.3, R_C / 10])
+    def test_bit_identical_to_full_grid(self, model, spacing):
+        lat = build_lattice(model, spacing)
+        positions, masses = full_grid_lattice(model, spacing)
+        np.testing.assert_array_equal(lat.positions, positions)
+        np.testing.assert_array_equal(lat.masses, masses)
+
 
 class TestMuTildeDiscrete:
     def test_zero_wavevector(self, rng):
         lat = random_lattice(rng, 50)
         assert mu_tilde_discrete(lat, np.zeros(3)) == pytest.approx(
-            lat.total_mass, rel=1e-14
+            lat.total_mass, rel=1e-14, abs=0
         )
 
     def test_single_site_phase(self):
@@ -97,8 +125,8 @@ class TestMuTildeDiscrete:
         )
         k = np.array([3e6, -1e6, 2e6])
         expected = 2e-9 * np.exp(-1j * (k @ lat.positions[0]))
-        assert mu_tilde_discrete(lat, k) == pytest.approx(expected, rel=1e-14)
-        assert abs(mu_tilde_discrete(lat, k)) == pytest.approx(2e-9, rel=1e-14)
+        assert mu_tilde_discrete(lat, k) == pytest.approx(expected, rel=1e-14, abs=0)
+        assert abs(mu_tilde_discrete(lat, k)) == pytest.approx(2e-9, rel=1e-14, abs=0)
 
     def test_bound(self, rng):
         lat = random_lattice(rng, 200)
@@ -144,14 +172,14 @@ class TestDoubleCommutator:
         )
         k = np.array([1e7, 0.0, 0.0])
         expected = -CONSTANTS.hbar**2 * m * 1e14
-        assert f_double_commutator(lat, k) == pytest.approx(expected, rel=1e-14)
+        assert f_double_commutator(lat, k) == pytest.approx(expected, rel=1e-14, abs=0)
 
     def test_identity_random_lattices(self, rng):
         for _ in range(100):
             lat = random_lattice(rng, int(rng.integers(1, 80)))
             k = rng.normal(0.0, 1.0 / R_C, 3)
             expected = -CONSTANTS.hbar**2 * lat.total_mass * float(k @ k)
-            assert f_double_commutator(lat, k) == pytest.approx(expected, rel=1e-14)
+            assert f_double_commutator(lat, k) == pytest.approx(expected, rel=1e-14, abs=0)
 
     def test_position_independence(self, rng):
         lat = random_lattice(rng, 60)
@@ -163,7 +191,7 @@ class TestDoubleCommutator:
                 positions=rng.uniform(-5e-7, 5e-7, lat.positions.shape),
                 cell_volume=lat.cell_volume,
             )
-            assert f_double_commutator(shuffled, k) == pytest.approx(ref, rel=1e-14)
+            assert f_double_commutator(shuffled, k) == pytest.approx(ref, rel=1e-14, abs=0)
 
     def test_sign(self, rng):
         lat = random_lattice(rng, 10)
@@ -184,7 +212,7 @@ class TestGammaTotalDiscrete:
             cell_volume=lat.cell_volume,
         )
         assert gamma_total_discrete(doubled, CSL) == pytest.approx(
-            2.0 * gamma_total_discrete(lat, CSL), rel=1e-14
+            2.0 * gamma_total_discrete(lat, CSL), rel=1e-14, abs=0
         )
 
     def test_regression_value(self):
@@ -194,7 +222,7 @@ class TestGammaTotalDiscrete:
             cell_volume=1.0,
         )
         assert gamma_total_discrete(lat, CslParams(1e-16, 1e-7)) == pytest.approx(
-            2.98e-17, rel=1e-3
+            2.98e-17, rel=1e-3, abs=0
         )
 
     def test_exact_match_with_continuum(self, rng):
@@ -206,14 +234,14 @@ class TestGammaCmDiscrete:
     def test_point_equals_total(self):
         lat = build_lattice(PointMass(1e-9), 1e-9)
         assert gamma_cm_discrete(lat, CSL) == pytest.approx(
-            gamma_total(1e-9, CSL), rel=1e-14
+            gamma_total(1e-9, CSL), rel=1e-14, abs=0
         )
 
     def test_pairwise_matches_marginal_factorization(self):
         cube = Cuboid(2 * R_C, 2 * R_C, 2 * R_C, SILICON)
         full = gamma_cm_discrete(build_lattice(cube, R_C / 6), CSL)
         marg = gamma_cm_discrete_separable(cube, CSL, R_C / 6)
-        assert marg == pytest.approx(full, rel=1e-12)
+        assert marg == pytest.approx(full, rel=1e-12, abs=0)
 
     def test_converges_to_quadrature(self):
         quad = QuadratureSpec()
@@ -227,15 +255,13 @@ class TestGammaCmDiscrete:
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] <= 1e-3
         # O(d^2): each halving divides the error by about 4
-        assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.4)
+        assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.4, abs=0)
 
     def test_banded_path_matches_direct(self):
         # wide body exercises the banded uniform-grid branch in x and y
         plate = Cuboid(60 * R_C, 60 * R_C, 2 * R_C, SILICON)
         coarse = gamma_cm_discrete_separable(plate, CSL, R_C / 2)
-        # same spacing via the direct O(n^2) branch (n below the threshold)
-        from cslheat.lattice import _axis_marginals, _axis_pair_sums
-
+        # same spacing via the direct O(n^2) branch
         mx, my, mz = _axis_marginals(plate, R_C / 2)
         direct = []
         for pos, w, pitch in (mx, my, mz):
@@ -244,9 +270,48 @@ class TestGammaCmDiscrete:
         for pos, w, pitch in (mx, my, mz):
             banded.append(_axis_pair_sums(pos, w, R_C, pitch))
         for (qd, pd), (qb, pb) in zip(direct, banded):
-            assert qb == pytest.approx(qd, rel=1e-12)
-            assert pb == pytest.approx(pd, rel=1e-12)
+            assert qb == pytest.approx(qd, rel=1e-12, abs=0)
+            assert pb == pytest.approx(pd, rel=1e-12, abs=0)
         assert coarse > 0
+
+    @pytest.mark.parametrize("n, offset", [(1, 0.0), (37, 0.0), (300, 0.0),
+                                           (700, 0.0), (700, 0.1)])
+    def test_matches_pair_tensor(self, rng, n, offset):
+        # 300 and 700 sites span several row blocks, the last one partial
+        lat = random_lattice(rng, n, scale=3e-7)
+        lat = Lattice(lat.masses, lat.positions + offset, lat.cell_volume)
+        assert gamma_cm_discrete(lat, CSL) == pytest.approx(
+            gamma_cm_pair_tensor(lat, CSL), rel=1e-13, abs=0
+        )
+
+    def test_lattice_far_from_origin_matches_pair_tensor(self):
+        cyl = Cylinder(2 * R_C, 3 * R_C, SILICON, (0.1, -0.2, 0.05))
+        lat = build_lattice(cyl, R_C / 3)
+        assert lat.n_cells > 300
+        assert gamma_cm_discrete(lat, CSL) == pytest.approx(
+            gamma_cm_pair_tensor(lat, CSL), rel=1e-13, abs=0
+        )
+
+    def test_banded_matches_dense_on_1500_sites(self):
+        plate = Cuboid(375 * R_C, 3 * R_C, 2 * R_C, SILICON, (2e-6, 0.0, 0.0))
+        (pos, w, pitch), _, _ = _axis_marginals(plate, R_C / 4)
+        assert len(pos) == 1500
+        qb, pb = _axis_pair_sums(pos, w, R_C, pitch)
+        qd, pd = _axis_pair_sums(pos, w, R_C, None)
+        assert qb == pytest.approx(qd, rel=1e-12, abs=0)
+        assert pb == pytest.approx(pd, rel=1e-12, abs=0)
+
+    def test_banded_memory_stays_small(self):
+        n = 4000
+        pos = (np.arange(n) - 0.5 * (n - 1)) * R_C / 4
+        tracemalloc.start()
+        try:
+            _axis_pair_sums(pos, np.full(n, 1.0 / n), R_C, R_C / 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense n x n route needed more than 500 MB here
+        assert peak < 16e6
 
     def test_pair_cap(self, rng):
         lat = random_lattice(rng, 100)
@@ -261,7 +326,7 @@ class TestGammaCmDiscrete:
         stack = LayeredStack(10 * R_C, 10 * R_C, layers)
         quad_val = gamma_cm_quadrature(stack, CSL, QuadratureSpec()).value
         lat_val = gamma_cm_discrete_separable(stack, CSL, R_C / 40)
-        assert lat_val == pytest.approx(quad_val, rel=1e-3)
+        assert lat_val == pytest.approx(quad_val, rel=1e-3, abs=0)
 
 
 def test_lattice_check_suite():
