@@ -147,9 +147,11 @@ def _as_k(k) -> np.ndarray:
     return k
 
 
-def _offset_phase(model: MassModel, k: np.ndarray) -> np.ndarray:
-    off = np.asarray(model.offset, dtype=float)
-    return np.exp(-1j * (k @ off))
+def _translated(val, k: np.ndarray, offset) -> np.ndarray:
+    """Complex val times exp(-i k . offset), skipped at a zero offset."""
+    if not np.any(offset):
+        return np.add(val, 0j)
+    return val * np.exp(-1j * np.dot(k, offset))
 
 
 def _stack_z_sum(model: LayeredStack, kz: np.ndarray) -> np.ndarray:
@@ -214,7 +216,7 @@ def mu_tilde(model: MassModel, k):
     else:
         raise TypeError(f"not a mass model: {model!r}")
 
-    out = val * _offset_phase(model, k)
+    out = _translated(val, k, model.offset)
     return out if out.ndim else complex(out)
 
 
@@ -235,23 +237,23 @@ def separable_factors(model: MassModel, axis: str, k_axis):
     except KeyError:
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
     k = np.asarray(k_axis, dtype=float)
-    phase = np.exp(-1j * k * model.offset[ax])
 
     if isinstance(model, Cuboid):
         length = (model.lx, model.ly, model.lz)[ax]
-        out = sinc(0.5 * k * length) * phase
+        out = sinc(0.5 * k * length)
     elif isinstance(model, LayeredStack):
         if axis == "x":
-            out = sinc(0.5 * k * model.lx) * phase
+            out = sinc(0.5 * k * model.lx)
         elif axis == "y":
-            out = sinc(0.5 * k * model.ly) * phase
+            out = sinc(0.5 * k * model.ly)
         else:
             area_density = sum(
                 layer.material.density * layer.thickness for layer in model.layers
             )
-            out = _stack_z_sum(model, k) / area_density * phase
+            out = _stack_z_sum(model, k) / area_density
     else:
         raise NotSeparable(
             f"{type(model).__name__} does not factorize over Cartesian axes"
         )
+    out = _translated(out, k, model.offset[ax])
     return out if out.ndim else complex(out)

@@ -31,11 +31,14 @@ Adaptive quadrature, the lattice and Monte Carlo are oracles only.
 The seeded Monte-Carlo estimator (gamma_cm_mc) importance-samples the
 same integral from the Gaussian weight with numpy's counter-based Philox
 generator and a fixed draw order, so it is bit-identical for a seed.
+Offsets drop out of |mu_tilde|^2, and blocks of samples (together one
+draw) merge by Chan's update, so memory is flat in mc_samples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from math import exp, factorial, fsum, pi, sqrt
 from typing import NamedTuple
 
@@ -69,6 +72,7 @@ _PHI_SERIES = np.array([(-1) ** (k - 1) / (4.0 ** (k - 1) * factorial(k - 1)
                                            * 2 * k * (2 * k - 1)) for k in range(2, 22)])
 _G_SERIES = np.array([(-1) ** k / (4.0**k * factorial(k)) for k in range(2, 22)])
 _PAIR_BLOCK = 1 << 20  # pair-matrix entries per block: bounds memory
+_MC_BLOCK = 1 << 14  # Monte-Carlo samples per block: temporaries stay in L2
 
 # (2 J1(y)/y)^2 = sum_k (-1)^k (2k+2)! / (k! (k+2)! (k+1)!^2) (y/2)^(2k),
 # integrated against u e^(-u^2) (A) and u^3 e^(-u^2) (B); the direct
@@ -239,9 +243,11 @@ def gamma_cm_mc(
     """Monte-Carlo center-of-mass heating rate [W] with standard error.
 
     Importance-samples wavevectors from the normalized Gaussian weight
-    (pi^(3/2)/r_c^3) and averages k^2 |mu_tilde(k)|^2.  Deterministic for
-    a fixed seed: one Philox stream, a fixed draw order, and a fixed
-    reduction order, so results are bit-identical across runs.
+    (pi^(3/2)/r_c^3) and averages k^2 |mu_tilde(k)|^2 of the centred body
+    (the offset phase has modulus 1).  Deterministic for a fixed seed: one
+    Philox stream, a fixed draw order, and a fixed reduction order, so
+    results are bit-identical across runs.  Blocks of _MC_BLOCK samples,
+    together one draw, merge by Chan's update: memory is flat in samples.
 
     For separable bodies (cuboid, layered stack) the estimator samples
     each wavevector component from its 1D Gaussian factor and estimates
@@ -258,9 +264,10 @@ def gamma_cm_mc(
     if quad.mc_samples < 1000:
         raise ValueError(f"mc_samples must be >= 1000, got {quad.mc_samples}")
     rng = np.random.Generator(np.random.Philox(quad.rng_seed))
+    centred = replace(model, offset=(0.0, 0.0, 0.0))
     if isinstance(model, (Cuboid, LayeredStack)):
-        return _mc_separable(model, csl, quad, rng)
-    return _mc_generic(model, csl, quad, rng)
+        return _mc_separable(centred, csl, quad, rng)
+    return _mc_generic(centred, csl, quad, rng)
 
 
 def _abs2(z) -> np.ndarray:
@@ -268,18 +275,34 @@ def _abs2(z) -> np.ndarray:
     return z.real**2 + z.imag**2
 
 
+def _mc_mean_stderr(draw, f, n: int) -> tuple[float, float]:
+    """Mean and standard error of f(draw(m)) over n samples, in blocks."""
+    count, mean, m2 = 0, 0.0, 0.0
+    for start in range(0, n, _MC_BLOCK):
+        g = f(draw(min(_MC_BLOCK, n - start)))
+        block_mean = float(np.mean(g))
+        block_m2 = float(np.square(g - block_mean).sum())
+        # Chan's update; a running sum of squares would cancel
+        delta, total = block_mean - mean, count + len(g)
+        mean += delta * (len(g) / total)
+        m2 += block_m2 + delta * delta * count * len(g) / total
+        count = total
+    return mean, sqrt(m2 / (n - 1) / n)
+
+
 def _mc_generic(model, csl, quad, rng) -> PowerEstimate:
     sigma = 1.0 / (sqrt(2.0) * csl.r_c)
-    k = rng.normal(0.0, sigma, size=(quad.mc_samples, 3))
-    g = np.einsum("ij,ij->i", k, k) * _abs2(mu_tilde(model, k))
+    mean, stderr = _mc_mean_stderr(
+        lambda m: rng.normal(0.0, sigma, size=(m, 3)),
+        lambda k: np.einsum("ij,ij->i", k, k) * _abs2(mu_tilde(model, k)),
+        quad.mc_samples,
+    )
     c = CONSTANTS
     pref = (
         csl.lambda_rate
         * c.hbar**2
         / (2.0 * total_mass(model) * c.m_nucleon**2)
     )
-    mean = float(np.mean(g))
-    stderr = float(np.std(g, ddof=1) / sqrt(len(g)))
     return PowerEstimate(pref * mean, pref * stderr)
 
 
@@ -291,25 +314,19 @@ def _mc_separable(model, csl, quad, rng) -> PowerEstimate:
     n = quad.mc_samples
     rt_pi = sqrt(pi)
     est: dict[str, tuple[float, float, float, float]] = {}
+    draw = partial(rng.normal, 0.0, sqrt(0.5))
     for axis in "xyz":
-        batch_a = rng.normal(0.0, sqrt(0.5), n)
-        batch_b = rng.normal(0.0, sqrt(0.5), n)
-        fa = _abs2(separable_factors(model, axis, batch_a / csl.r_c))
-        fb = batch_b * batch_b * _abs2(
-            separable_factors(model, axis, batch_b / csl.r_c)
-        )
-        a_val = rt_pi * float(np.mean(fa))
-        a_se = rt_pi * float(np.std(fa, ddof=1) / sqrt(n))
-        b_val = rt_pi * float(np.mean(fb))
-        b_se = rt_pi * float(np.std(fb, ddof=1) / sqrt(n))
-        est[axis] = (a_val, a_se, b_val, b_se)
-    i3 = 0.0
-    var = 0.0
-    for i in "xyz":
-        j, l = [ax for ax in "xyz" if ax != i]
-        i3 += est[i][2] * est[j][0] * est[l][0]
+
+        def fa(u, axis=axis):
+            return _abs2(separable_factors(model, axis, u / csl.r_c))
+
+        a_val, a_se = _mc_mean_stderr(draw, fa, n)
+        b_val, b_se = _mc_mean_stderr(draw, lambda u: u * u * fa(u), n)
+        est[axis] = (rt_pi * a_val, rt_pi * a_se, rt_pi * b_val, rt_pi * b_se)
+    i3 = var = 0.0
     for ax in "xyz":
         j, l = [o for o in "xyz" if o != ax]
+        i3 += est[ax][2] * est[j][0] * est[l][0]
         d_a = est[j][2] * est[l][0] + est[l][2] * est[j][0]  # dI3/dA_ax
         d_b = est[j][0] * est[l][0]  # dI3/dB_ax
         var += (d_a * est[ax][1]) ** 2 + (d_b * est[ax][3]) ** 2

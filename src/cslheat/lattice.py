@@ -57,8 +57,8 @@ DEFAULT_SITE_CAP = 100_000_000
 # pair-phase Gaussian exp(-D^2/4) with the (3/2 - D^2/4) polynomial is
 # below 1e-16 relative for D > 14
 _PAIR_BAND_D = 16.0
-# pair entries per row block of gamma_cm_discrete: its two work buffers
-# (1 MB) stay in cache; blocks of 2^20 entries ran 1.4-2x slower
+# pair entries (site phases) per block of gamma_cm_discrete (mu_tilde_discrete):
+# the work buffers stay in cache; pair blocks of 2^20 entries ran 1.4-2x slower
 _PAIR_BLOCK = 1 << 16
 
 
@@ -150,16 +150,21 @@ def build_lattice(
 
 
 def mu_tilde_discrete(lat: Lattice, k):
-    """Direct geometry-factor sum over sites: sum_l m_l exp(-i k . R_l)."""
+    """Direct geometry-factor sum over sites: sum_l m_l exp(-i k . R_l).
+
+    Summed as m @ cos(k . R) - i m @ sin(k . R) over site blocks of about
+    _PAIR_BLOCK phases, so memory does not grow with the site count.
+    """
     k = np.asarray(k, dtype=float)
     single = k.shape == (3,)
     kk = k.reshape(-1, 3)
-    out = np.empty(len(kk), dtype=complex)
-    # bound the phase-matrix memory, not the result
-    chunk = max(1, 4_000_000 // max(len(lat.masses), 1))
-    for i in range(0, len(kk), chunk):
-        phases = lat.positions @ kk[i : i + chunk].T  # (N, chunk)
-        out[i : i + chunk] = lat.masses @ np.exp(-1j * phases)
+    re, im = np.zeros(len(kk)), np.zeros(len(kk))
+    step = max(1, _PAIR_BLOCK // max(len(kk), 1))
+    for i in range(0, len(lat.masses), step):
+        phases = lat.positions[i : i + step] @ kk.T
+        re += lat.masses[i : i + step] @ np.cos(phases)
+        im -= lat.masses[i : i + step] @ np.sin(phases)
+    out = re + 1j * im
     return complex(out[0]) if single else out.reshape(k.shape[:-1])
 
 

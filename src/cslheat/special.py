@@ -1,9 +1,10 @@
 """Elementary kernels entering the analytic mass-density form factors.
 
-All three functions have removable singularities at x = 0 and are evaluated
-by a Taylor-series branch at small argument so that accuracy stays at the
-1e-15 level across the branch switch.  They accept scalars or numpy arrays
-and always return float64 results of the same shape.
+All three have removable singularities at x = 0, accept scalars or numpy
+arrays and return float64 results of the same shape.  sin(x)/x and
+2 J1(x)/x keep their direct forms, which do not cancel at small x; only
+the sphere kernel's does, so it alone has a Taylor-series branch, and
+each point takes exactly one of its two branches.
 """
 
 from __future__ import annotations
@@ -12,14 +13,6 @@ from math import factorial
 
 import numpy as np
 from scipy.special import j1 as _bessel_j1
-
-# sin(x)/x = 1 - x^2/6 + x^4/120 - ...; below 1e-4 two correction terms
-# leave a truncation error ~ x^6/5040 < 3e-28.
-_SINC_SWITCH = 1.0e-4
-
-# 2 J1(x)/x = 1 - x^2/8 + x^4/192 - ...; same switch point, truncation
-# error ~ x^6/9216 < 2e-28.
-_J1_SWITCH = 1.0e-4
 
 # 3 (sin x - x cos x)/x^3 = sum_m c_m x^(2m), c_m = 3 (-1)^m (2m+2)/(2m+3)!.
 # The direct form loses ~ 3*eps/x^2 relative accuracy to cancellation, so
@@ -30,16 +23,22 @@ _SPHERE_COEF = np.array(
     [3.0 * (-1) ** m * (2 * m + 2) / factorial(2 * m + 3) for m in range(14)]
 )
 
+# sin(x)/x and 2 J1(x)/x round to 1 below here (their x^2 terms are under
+# eps/4); setting 1 also avoids J1 of subnormal x, which underflows to 0
+_UNIT_BELOW = 1e-8
+
+
+def _ratio_or_one(num, x):
+    """num / x, or 1 where |x| < _UNIT_BELOW (the limit at 0); NaN stays NaN."""
+    out = np.ones_like(x)
+    np.divide(num, x, out=out, where=~(np.abs(x) < _UNIT_BELOW))
+    return out if out.ndim else float(out)
+
 
 def sinc(x):
     """sin(x)/x with sinc(0) = 1 (unnormalized convention)."""
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _SINC_SWITCH
-    safe = np.where(small, 1.0, x)
-    x2 = x * x
-    series = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-    out = np.where(small, series, np.sin(safe) / safe)
-    return out if out.ndim else float(out)
+    return _ratio_or_one(np.sin(x), x)
 
 
 def sphere_form_kernel(x):
@@ -49,26 +48,21 @@ def sphere_form_kernel(x):
     (x = 4.4934094579...).
     """
     x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
     small = np.abs(x) < _SPHERE_SWITCH
-    safe = np.where(small, 1.0, x)
-    series = np.polynomial.polynomial.polyval(x * x, _SPHERE_COEF)
-    direct = 3.0 * (np.sin(safe) - safe * np.cos(safe)) / safe**3
-    out = np.where(small, series, direct)
+    xs, xl = x[small], x[~small]
+    out[small] = np.polynomial.polynomial.polyval(xs * xs, _SPHERE_COEF)
+    out[~small] = 3.0 * (np.sin(xl) - xl * np.cos(xl)) / xl**3
     return out if out.ndim else float(out)
 
 
 def two_j1_over_x(x):
     """2 J1(x)/x, the disc (circular cross-section) form-factor kernel.
 
-    J1 is the cylindrical Bessel function of the first kind; the large-x
-    branch delegates to scipy's Cephes rational/asymptotic approximation
-    (|error| ~ 2.6e-16 over [0, 30]).  Equals 1 at x = 0, first zero at
+    J1 is the cylindrical Bessel function of the first kind from scipy's
+    Cephes approximation (|error| ~ 2.6e-16 over [0, 30]; x times a ratio
+    of polynomials in x^2 below 5).  Equals 1 at x = 0, first zero at
     the first zero of J1 (x = 3.8317059702...).
     """
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _J1_SWITCH
-    safe = np.where(small, 1.0, x)
-    x2 = x * x
-    series = 1.0 - x2 / 8.0 + x2 * x2 / 192.0
-    out = np.where(small, series, 2.0 * _bessel_j1(safe) / safe)
-    return out if out.ndim else float(out)
+    return _ratio_or_one(2.0 * _bessel_j1(x), x)

@@ -14,12 +14,17 @@ turns it into a rate.
 full_grid_lattice and gamma_cm_pair_tensor are the straightforward
 lattice constructions that cslheat.lattice replaced: a meshgrid of every
 candidate site masked by N x 3 coordinate tests, and the pair sum from
-the full (N, N, 3) difference tensor.
+the full (N, N, 3) difference tensor.  mu_tilde_site_matrix is the site
+sum from one full (N, M) phase matrix.
+
+gamma_cm_mc_oneshot is the Monte-Carlo estimator that the blocked one in
+cslheat.heating replaced: one draw of every sample, the offset phase
+evaluated, and numpy's mean and standard deviation over all samples.
 """
 
 from __future__ import annotations
 
-from math import ceil, pi
+from math import ceil, pi, sqrt
 
 import numpy as np
 import pytest
@@ -36,6 +41,7 @@ from cslheat import (
     Sphere,
     extents,
     gamma_total,
+    mu_tilde,
     separable_factors,
     total_mass,
 )
@@ -304,4 +310,48 @@ def gamma_cm_pair_tensor(lat, csl) -> float:
     return (
         csl.lambda_rate * c.hbar**2 / (2.0 * lat.total_mass * c.m_nucleon**2)
         / csl.r_c**2 * s
+    )
+
+
+def mu_tilde_site_matrix(lat, k):
+    """mu_tilde_discrete from one (N, M) complex phase matrix."""
+    k = np.asarray(k, dtype=float)
+    out = lat.masses @ np.exp(-1j * (lat.positions @ k.reshape(-1, 3).T))
+    return out.reshape(k.shape[:-1])
+
+
+def gamma_cm_mc_oneshot(model, csl, quad) -> PowerEstimate:
+    """gamma_cm_mc from one draw of all quad.mc_samples samples."""
+    rng = np.random.Generator(np.random.Philox(quad.rng_seed))
+    if isinstance(model, (Cuboid, LayeredStack)):
+        n = quad.mc_samples
+        est = {}
+        for axis in "xyz":
+            batch_a = rng.normal(0.0, sqrt(0.5), n)
+            batch_b = rng.normal(0.0, sqrt(0.5), n)
+            fa = _abs2(separable_factors(model, axis, batch_a / csl.r_c))
+            fb = batch_b * batch_b * _abs2(
+                separable_factors(model, axis, batch_b / csl.r_c)
+            )
+            est[axis] = [sqrt(pi) * v for v in (
+                np.mean(fa), np.std(fa, ddof=1) / sqrt(n),
+                np.mean(fb), np.std(fb, ddof=1) / sqrt(n),
+            )]
+        i3 = var = 0.0
+        for ax in "xyz":
+            j, l = [o for o in "xyz" if o != ax]
+            i3 += est[ax][2] * est[j][0] * est[l][0]
+            d_a = est[j][2] * est[l][0] + est[l][2] * est[j][0]
+            d_b = est[j][0] * est[l][0]
+            var += (d_a * est[ax][1]) ** 2 + (d_b * est[ax][3]) ** 2
+        pref = gamma_total(total_mass(model), csl) / I3_FREE
+        return PowerEstimate(pref * i3, pref * sqrt(var))
+    k = rng.normal(0.0, 1.0 / (sqrt(2.0) * csl.r_c), size=(quad.mc_samples, 3))
+    g = np.einsum("ij,ij->i", k, k) * _abs2(mu_tilde(model, k))
+    pref = (
+        csl.lambda_rate * CONSTANTS.hbar**2
+        / (2.0 * total_mass(model) * CONSTANTS.m_nucleon**2)
+    )
+    return PowerEstimate(
+        pref * float(np.mean(g)), pref * float(np.std(g, ddof=1) / sqrt(len(g)))
     )

@@ -98,13 +98,13 @@ def agree(a, b, sigma, rel=1e-3):
 def test_criterion_01_closed_form_total_rate():
     with criterion(1, "gamma_total(1 kg, 1e-16/s, 1e-7 m) = 2.98e-17 W (rel 1e-3)"):
         value = gamma_total(1.0, CslParams(1e-16, 1e-7))
-        assert value == pytest.approx(2.98e-17, rel=1e-3)
+        assert value == pytest.approx(2.98e-17, rel=1e-3, abs=0)
 
 
 def test_criterion_02_point_mass_reduction():
     with criterion(2, "point mass: gamma_cm = gamma_total (rel 1e-9)"):
         est = gamma_cm(PointMass(1.0), CSL, QUAD)
-        assert est.value == pytest.approx(gamma_total(1.0, CSL), rel=1e-9)
+        assert est.value == pytest.approx(gamma_total(1.0, CSL), rel=1e-9, abs=0)
 
 
 def test_criterion_03_geometry_factor_invariants():
@@ -117,7 +117,7 @@ def test_criterion_03_geometry_factor_invariants():
             model = random_model(rng, with_offset=True)
             mass = total_mass(model)
             assert mu_tilde(model, np.zeros(3)).real == pytest.approx(
-                mass, rel=1e-12
+                mass, rel=1e-12, abs=0
             )
             k = random_k(rng, n=n_k)
             vals = mu_tilde(model, k)
@@ -151,7 +151,7 @@ def test_criterion_04_double_commutator_identity():
             )
             k = rng.normal(0.0, 1.0 / R_C, 3)
             expected = -hbar2 * lat.total_mass * float(k @ k)
-            assert f_double_commutator(lat, k) == pytest.approx(expected, rel=1e-14)
+            assert f_double_commutator(lat, k) == pytest.approx(expected, rel=1e-14, abs=0)
         # rearrangements of one mass set
         lat = Lattice(
             masses=rng.uniform(0.3, 3.0, 64) * 1e-18,
@@ -166,7 +166,7 @@ def test_criterion_04_double_commutator_identity():
                 positions=rng.uniform(-1e-6, 1e-6, (64, 3)),
                 cell_volume=lat.cell_volume,
             )
-            assert f_double_commutator(moved, k) == pytest.approx(ref, rel=1e-14)
+            assert f_double_commutator(moved, k) == pytest.approx(ref, rel=1e-14, abs=0)
 
 
 def test_criterion_05_oracle_triangle():
@@ -182,7 +182,7 @@ def test_criterion_05_oracle_triangle():
             assert agree(det.value, lat, det.error), name
             assert agree(mc.value, lat, mc.error), name
             closed = gamma_cm(model, CSL, QUAD)
-            assert closed.value == pytest.approx(det.value, rel=1e-11), name
+            assert closed.value == pytest.approx(det.value, rel=1e-11, abs=0), name
 
 
 def test_criterion_06_splitting_and_sign():
@@ -191,7 +191,7 @@ def test_criterion_06_splitting_and_sign():
             rep = heating_report(model, CSL, QUAD)
             assert rep.gamma_int >= 0.0, name
             assert rep.gamma_cm + rep.gamma_int == pytest.approx(
-                rep.gamma_total, rel=1e-9
+                rep.gamma_total, rel=1e-9, abs=0
             ), name
             if name == "cube_large":
                 assert rep.gamma_int / rep.gamma_total >= 0.9
@@ -233,7 +233,7 @@ def test_criterion_08_layering_enhancement():
             oracle[n] = gamma_cm(d.to_mass_model(), CSL, QUAD).value
         best_n = max(oracle, key=oracle.get)
         assert res.best.n_pairs == best_n
-        assert res.gamma_cm == pytest.approx(oracle[best_n], rel=1e-12)
+        assert res.gamma_cm == pytest.approx(oracle[best_n], rel=1e-12, abs=0)
         assert all(res.gamma_cm >= g * (1 - 1e-12) for g in oracle.values())
         # strictly better than the coarsest stack in the family ...
         assert res.best.n_pairs > 1
@@ -256,7 +256,7 @@ def test_criterion_09_discriminability():
         designs = [
             design_stack(mass, DENSE, LIGHT, lx, ly, n) for n in (1, 16)
         ]
-        assert min(designs[1].layer_thicknesses) == pytest.approx(R_C, rel=1e-9)
+        assert min(designs[1].layer_thicknesses) == pytest.approx(R_C, rel=1e-9, abs=0)
         thermal = ThermalModel(1e-3, 0.1)
         rep = discriminability_report(designs, CSL, thermal, QUAD)
         assert rep.spread > 0.1
@@ -283,7 +283,7 @@ def test_criterion_10_lambda_bound_round_trip():
             lam0 = float(10.0 ** rng.uniform(-20, -10))
             power = gamma_cm(model, CslParams(lam0, R_C), QUAD).value
             assert lambda_bound(power, model, R_C, QUAD) == pytest.approx(
-                lam0, rel=1e-9
+                lam0, rel=1e-9, abs=0
             )
 
 

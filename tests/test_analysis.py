@@ -43,7 +43,7 @@ class TestThermalGain:
 
     def test_regression(self):
         assert thermal_gain(ThermalModel(1e-3, 0.1)) == pytest.approx(
-            1.380649e-27, rel=1e-12
+            1.380649e-27, rel=1e-12, abs=0
         )
 
     def test_never_reads_geometry(self):
@@ -58,14 +58,14 @@ class TestThermalGain:
 class TestDesignStack:
     def test_fixed_mass_constraint(self):
         d = design_stack(3.7e-9, DENSE, LIGHT, 2e-5, 1e-5, 7, mass_ratio=2.5)
-        assert d.total_mass == pytest.approx(3.7e-9, rel=1e-12)
-        assert d.mass_ratio == pytest.approx(2.5, rel=1e-12)
+        assert d.total_mass == pytest.approx(3.7e-9, rel=1e-12, abs=0)
+        assert d.mass_ratio == pytest.approx(2.5, rel=1e-12, abs=0)
         assert d.n_layers == 14
 
     def test_equal_thickness_when_ratio_matches_contrast(self):
         d = design_stack(1e-9, DENSE, LIGHT, 1e-5, 1e-5, 4, mass_ratio=10.0)
         assert max(d.layer_thicknesses) == pytest.approx(
-            min(d.layer_thicknesses), rel=1e-12
+            min(d.layer_thicknesses), rel=1e-12, abs=0
         )
 
     def test_infeasible(self):
@@ -103,7 +103,7 @@ class TestScanRc:
         table = scan_rc(cube, grid, QUAD)
         for rc, row in zip(grid, table.rows):
             standalone = gamma_cm(cube, CslParams(1.0, rc), QUAD).value
-            assert row.gamma_cm_per_lambda == pytest.approx(standalone, rel=1e-12)
+            assert row.gamma_cm_per_lambda == pytest.approx(standalone, rel=1e-12, abs=0)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -138,7 +138,7 @@ class TestScanRc:
         table = scan_rc(PointMass(1e-9), [1e-7, 2e-7], QUAD, observed_power=1e-30)
         for row in table.rows:
             assert row.lambda_bound == pytest.approx(
-                1e-30 / row.gamma_cm_per_lambda, rel=1e-12
+                1e-30 / row.gamma_cm_per_lambda, rel=1e-12, abs=0
             )
 
     def test_csv_shape(self):
@@ -168,7 +168,7 @@ class TestOptimizeLayers:
         height = res.best.height
         cub = Cuboid(1e-5, 1e-5, height, DENSE)
         rep = heating_report(cub, CSL, QUAD)
-        assert res.gamma_cm == pytest.approx(rep.gamma_cm, rel=1e-9)
+        assert res.gamma_cm == pytest.approx(rep.gamma_cm, rel=1e-9, abs=0)
 
     def test_argmax_matches_exhaustive_oracle(self):
         lx = ly = 1e-4
@@ -183,7 +183,7 @@ class TestOptimizeLayers:
             oracle[n] = gamma_cm(d.to_mass_model(), CSL, QUAD).value
         best_n = max(oracle, key=oracle.get)
         assert res.best.n_pairs == best_n
-        assert res.gamma_cm == pytest.approx(oracle[best_n], rel=1e-12)
+        assert res.gamma_cm == pytest.approx(oracle[best_n], rel=1e-12, abs=0)
         assert all(res.gamma_cm >= g * (1 - 1e-12) for g in oracle.values())
 
     def test_empty_range(self):
@@ -260,7 +260,7 @@ class TestLambdaBound:
             lam0 = float(rng.uniform(1e-20, 1e-10))
             power = gamma_cm(cube, CslParams(lam0, R_C), QUAD).value
             assert lambda_bound(power, cube, R_C, QUAD) == pytest.approx(
-                lam0, rel=1e-9
+                lam0, rel=1e-9, abs=0
             )
 
     def test_zero_power(self):

@@ -24,8 +24,8 @@ def test_heat_point_payload(capsys):
     payload = json.loads(out)
     assert payload["command"] == "heat"
     result = payload["result"]
-    assert result["reduction_factor"] == pytest.approx(1.0, rel=1e-9)
-    assert result["gamma_cm"] == pytest.approx(result["gamma_total"], rel=1e-9)
+    assert result["reduction_factor"] == pytest.approx(1.0, rel=1e-9, abs=0)
+    assert result["gamma_cm"] == pytest.approx(result["gamma_total"], rel=1e-9, abs=0)
     assert result["gamma_int"] >= 0.0
 
 
@@ -45,7 +45,7 @@ def test_mu_zero_row(capsys):
     )
     assert code == 0
     rows = json.loads(out)["result"]["rows"]
-    assert rows[0]["abs_norm"] == pytest.approx(1.0, rel=1e-12)
+    assert rows[0]["abs_norm"] == pytest.approx(1.0, rel=1e-12, abs=0)
 
 
 def test_mu_sinc_zero_and_row_count(capsys):
@@ -326,3 +326,51 @@ def test_parser_reuse_keeps_output(capsys):
     assert all(code == 0 for code, _, _ in first.values())
     for argv in (scan, heat, scan, heat):
         assert run(capsys, *argv) == first[argv]
+
+
+# Payloads of every committed spec recorded from commit d6f4238, before the
+# one-branch special kernels, the blocked Monte-Carlo estimator and the
+# site-blocked mu_tilde_discrete.  Commands that run none of those emit the
+# same bytes; the rest agree with the recording to rounding.
+RECORDED = json.loads((Path(__file__).resolve().parent / "data" /
+                       "cli_payloads.json").read_text())
+# fields computed by the rewritten routes, with the agreement each holds to
+ROUNDED_FIELDS = {
+    "gamma_cm_mc": ("rel", 1e-14),
+    "gamma_cm_mc_stderr": ("rel", 1e-14),
+    "max_ratio": ("abs", 1e-13),  # |mu_discrete| / M
+    "rel_errors": ("abs", 1e-13),  # |mu_discrete - mu| / M
+    "slope": ("abs", 1e-7),  # fit to log(rel_errors), errors down to 8e-6
+    "re": ("abs", 1e-15),  # normalized form factor
+    "im": ("abs", 1e-15),
+    "abs_norm": ("abs", 1e-15),
+}
+
+
+def _assert_payloads_agree(got, want, field=None):
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            _assert_payloads_agree(got[key], want[key], field=key)
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_payloads_agree(g, w, field)
+    elif field in ROUNDED_FIELDS and isinstance(want, float):
+        kind, tol = ROUNDED_FIELDS[field]
+        assert abs(got - want) <= (tol * abs(want) if kind == "rel" else tol)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("record", RECORDED, ids=lambda r: " ".join(r["argv"]))
+def test_payloads_match_recording(capsys, record):
+    command, spec, *rest = record["argv"]
+    code, out, _ = run(capsys, command, "--spec", str(SPECS / spec), *rest)
+    assert code == 0
+    if command != "lattice-check" and "--mc" not in rest and "--at" not in rest:
+        assert out == record["stdout"]
+    else:
+        # the --at rows include (1e-300, 0, 1e3), whose sinc arguments lie
+        # below the former series switch: a few ulp from the recording there
+        _assert_payloads_agree(json.loads(out), json.loads(record["stdout"]))

@@ -170,7 +170,7 @@ def test_extremes_match_quadrature(extent):
     ):
         i3, _ = i3_quadrature(model, 1.0, ORACLE_QUAD)
         got = heating_report(model, CslParams(1.0, 1.0), QUAD).reduction_factor
-        assert got == pytest.approx(i3 / I3_FREE, rel=1e-11), type(model).__name__
+        assert got == pytest.approx(i3 / I3_FREE, rel=1e-11, abs=0), type(model).__name__
 
 
 _length = st.floats(1e-3, 30.0)
@@ -199,7 +199,7 @@ _bodies_st = st.one_of(
 def test_closed_form_matches_quadrature_oracle(model, r_c):
     i3, _ = i3_quadrature(model, r_c, ORACLE_QUAD)
     got = heating_report(model, CslParams(1.0, r_c), QUAD).reduction_factor
-    assert got == pytest.approx(i3 / I3_FREE, rel=1e-11)
+    assert got == pytest.approx(i3 / I3_FREE, rel=1e-11, abs=0)
 
 
 def test_production_paths_never_reach_quadrature(monkeypatch):

@@ -32,7 +32,7 @@ CUBOID_ORACLE_IMAG = 0.0
 class TestTotalMass:
     def test_cuboid_one_mm(self):
         assert total_mass(Cuboid(1e-3, 1e-3, 1e-3, SILICON)) == pytest.approx(
-            2.329e-6, rel=1e-12
+            2.329e-6, rel=1e-12, abs=0
         )
 
     def test_point(self):
@@ -46,15 +46,15 @@ class TestTotalMass:
             (Layer(Material("a", rho1), t), Layer(Material("b", rho2), t)),
         )
         assert total_mass(stack) == pytest.approx(
-            1e-6 * 2e-6 * t * (rho1 + rho2), rel=1e-12
+            1e-6 * 2e-6 * t * (rho1 + rho2), rel=1e-12, abs=0
         )
 
     def test_sphere_and_cylinder(self):
         assert total_mass(Sphere(2e-7, SILICON)) == pytest.approx(
-            SILICON.density * 4 / 3 * np.pi * 8e-21, rel=1e-12
+            SILICON.density * 4 / 3 * np.pi * 8e-21, rel=1e-12, abs=0
         )
         assert total_mass(Cylinder(1e-7, 3e-7, SILICON)) == pytest.approx(
-            SILICON.density * np.pi * 1e-14 * 3e-7, rel=1e-12
+            SILICON.density * np.pi * 1e-14 * 3e-7, rel=1e-12, abs=0
         )
 
 
@@ -62,14 +62,14 @@ class TestMuTilde:
     def test_frozen_cuboid_oracle_value(self):
         cub = Cuboid(1e-3, 1e-3, 1e-3, SILICON)
         val = mu_tilde(cub, np.array([1e4, 2e4, 3e4]))
-        assert val.real == pytest.approx(CUBOID_ORACLE_REAL, rel=1e-10)
+        assert val.real == pytest.approx(CUBOID_ORACLE_REAL, rel=1e-10, abs=0)
         assert abs(val.imag - CUBOID_ORACLE_IMAG) < 1e-10 * abs(CUBOID_ORACLE_REAL)
 
     def test_zero_wavevector_gives_total_mass(self, rng):
         for _ in range(40):
             model = random_model(rng)
             val = mu_tilde(model, np.zeros(3))
-            assert val.real == pytest.approx(total_mass(model), rel=1e-12)
+            assert val.real == pytest.approx(total_mass(model), rel=1e-12, abs=0)
             assert val.imag == 0.0
 
     def test_cuboid_sinc_zero(self):
@@ -89,8 +89,10 @@ class TestMuTilde:
         pm = PointMass(5e-10, pos)
         k = random_k(rng)
         val = mu_tilde(pm, k)
-        assert val == pytest.approx(5e-10 * np.exp(-1j * (k @ np.array(pos))))
-        assert abs(val) == pytest.approx(5e-10, rel=1e-12)
+        assert val == pytest.approx(
+            5e-10 * np.exp(-1j * (k @ np.array(pos))), rel=1e-14, abs=0
+        )
+        assert abs(val) == pytest.approx(5e-10, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize(
         "model",
@@ -189,13 +191,13 @@ class TestNormalizedFormFactor:
         for _ in range(10):
             model = random_model(rng)
             assert normalized_form_factor(model, np.zeros(3)) == pytest.approx(
-                1.0, rel=1e-12
+                1.0, rel=1e-12, abs=0
             )
 
     def test_point_mass_unit_magnitude(self, rng):
         pm = PointMass(2e-9, (1e-7, 0.0, -1e-7))
         for k in np.atleast_2d(random_k(rng, n=20)):
-            assert abs(normalized_form_factor(pm, k)) == pytest.approx(1.0, rel=1e-12)
+            assert abs(normalized_form_factor(pm, k)) == pytest.approx(1.0, rel=1e-12, abs=0)
 
     def test_bound_random_sampling(self, rng):
         cub = Cuboid(2e-7, 3e-7, 5e-7, SILICON)

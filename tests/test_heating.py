@@ -1,6 +1,7 @@
 """Heating rates: closed-form regressions, splitting, oracle agreement."""
 
 import dataclasses
+import tracemalloc
 from math import sqrt
 
 import numpy as np
@@ -10,6 +11,8 @@ from cslheat import (
     CslParams,
     Cuboid,
     Cylinder,
+    Layer,
+    LayeredStack,
     Material,
     PointMass,
     QuadratureSpec,
@@ -21,7 +24,7 @@ from cslheat import (
     heating_report,
 )
 from cslheat.heating import I3_FREE, _shape_integral
-from conftest import i3_quadrature
+from conftest import gamma_cm_mc_oneshot, i3_quadrature
 
 R_C = 1e-7
 CSL = CslParams(1e-16, R_C)
@@ -37,7 +40,7 @@ class TestGammaTotal:
     def test_closed_form_regression(self):
         # frozen from the closed form with the package constants
         assert gamma_total(1.0, CslParams(1e-16, 1e-7)) == pytest.approx(
-            2.98e-17, rel=1e-3
+            2.98e-17, rel=1e-3, abs=0
         )
 
     def test_lambda_zero(self):
@@ -46,11 +49,11 @@ class TestGammaTotal:
     def test_rc_scaling(self):
         g1 = gamma_total(1.0, CslParams(1e-16, 1e-7))
         g2 = gamma_total(1.0, CslParams(1e-16, 0.5e-7))
-        assert g2 == pytest.approx(4.0 * g1, rel=1e-12)
+        assert g2 == pytest.approx(4.0 * g1, rel=1e-12, abs=0)
 
     def test_mass_linearity(self):
         assert gamma_total(2.0, CSL) == pytest.approx(
-            2.0 * gamma_total(1.0, CSL), rel=1e-12
+            2.0 * gamma_total(1.0, CSL), rel=1e-12, abs=0
         )
 
     def test_nonpositive_mass_rejected(self):
@@ -62,21 +65,21 @@ class TestGammaCm:
     def test_point_mass_equals_total(self):
         pm = PointMass(1e-9)
         est = gamma_cm(pm, CSL, QUAD)
-        assert est.value == pytest.approx(gamma_total(1e-9, CSL), rel=1e-9)
+        assert est.value == pytest.approx(gamma_total(1e-9, CSL), rel=1e-9, abs=0)
 
     def test_gaussian_moment_identity_radial(self):
         # closed form and quadrature oracle reproduce the free-space moment
         for model in (PointMass(1e-9), Sphere(R_C * 1e-9, SILICON)):
-            assert _shape_integral(model, R_C) == pytest.approx(I3_FREE, rel=1e-12)
+            assert _shape_integral(model, R_C) == pytest.approx(I3_FREE, rel=1e-12, abs=0)
         i3, _ = i3_quadrature(PointMass(1e-9), R_C, QUAD)
-        assert i3 == pytest.approx(I3_FREE, rel=1e-12)
+        assert i3 == pytest.approx(I3_FREE, rel=1e-12, abs=0)
 
     def test_gaussian_moment_identity_separable(self):
         # vanishing cuboid: |f| = 1 through the product path
         tiny = Cuboid(R_C * 1e-9, R_C * 1e-9, R_C * 1e-9, SILICON)
-        assert _shape_integral(tiny, R_C) == pytest.approx(I3_FREE, rel=1e-12)
+        assert _shape_integral(tiny, R_C) == pytest.approx(I3_FREE, rel=1e-12, abs=0)
         i3, _ = i3_quadrature(tiny, R_C, QUAD)
-        assert i3 == pytest.approx(I3_FREE, rel=1e-12)
+        assert i3 == pytest.approx(I3_FREE, rel=1e-12, abs=0)
 
     def test_small_cube_reduction(self):
         cube = Cuboid(R_C / 100, R_C / 100, R_C / 100, SILICON)
@@ -108,7 +111,7 @@ class TestGammaCm:
         moved = dataclasses.replace(cube, offset=(5 * R_C, -2 * R_C, 1 * R_C))
         a = gamma_cm(cube, CSL, QUAD).value
         b = gamma_cm(moved, CSL, QUAD).value
-        assert b == pytest.approx(a, rel=1e-11)
+        assert b == pytest.approx(a, rel=1e-11, abs=0)
 
     def test_sphere_and_cylinder_vs_mc(self):
         for model in (Sphere(3 * R_C, SILICON), Cylinder(2 * R_C, 5 * R_C, SILICON)):
@@ -160,6 +163,54 @@ class TestMonteCarlo:
             )
 
 
+OFFSET = (0.7 * R_C, -1.3 * R_C, 2.1 * R_C)
+STACK = LayeredStack(
+    4 * R_C, 3 * R_C,
+    tuple(Layer(Material(f"m{j}", (2329.0, 700.0)[j % 2]), (0.4 + 0.1 * j) * R_C)
+          for j in range(8)),
+    OFFSET,
+)
+MC_BODIES = [
+    PointMass(1e-9, (0.2 * R_C, 0.0, -0.1 * R_C), OFFSET),
+    Cuboid(5 * R_C, 2 * R_C, 3 * R_C, SILICON, OFFSET),
+    Sphere(2 * R_C, SILICON, OFFSET),
+    Cylinder(R_C, 4 * R_C, SILICON, OFFSET),
+    STACK,
+]
+
+
+class TestMonteCarloBlocks:
+    """The blocked estimator against one draw of every sample."""
+
+    @pytest.mark.parametrize("samples", [1000, 2**14 + 1, 70001])
+    @pytest.mark.parametrize("model", MC_BODIES, ids=lambda m: type(m).__name__)
+    def test_matches_one_shot_estimator(self, model, samples):
+        quad = dataclasses.replace(QUAD, mc_samples=samples, rng_seed=3)
+        got = gamma_cm_mc(model, CSL, quad)
+        want = gamma_cm_mc_oneshot(model, CSL, quad)
+        assert got.value == pytest.approx(want.value, rel=1e-14, abs=0)
+        assert got.error == pytest.approx(want.error, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("model", MC_BODIES, ids=lambda m: type(m).__name__)
+    def test_offset_drops_out_bit_for_bit(self, model):
+        quad = dataclasses.replace(QUAD, mc_samples=20000)
+        centred = dataclasses.replace(model, offset=(0.0, 0.0, 0.0))
+        assert gamma_cm_mc(model, CSL, quad) == gamma_cm_mc(centred, CSL, quad)
+
+    @pytest.mark.parametrize("model", [Sphere(2 * R_C, SILICON), STACK],
+                             ids=["sphere", "stack"])
+    def test_memory_flat_in_samples(self, model):
+        # one draw of 4e5 samples peaks at 32 MB (sphere) and 58 MB (stack)
+        quad = dataclasses.replace(QUAD, mc_samples=400_000)
+        tracemalloc.start()
+        try:
+            gamma_cm_mc(model, CSL, quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
 class TestSplitting:
     @pytest.mark.parametrize(
         "model",
@@ -177,10 +228,10 @@ class TestSplitting:
         rep = heating_report(model, CSL, QUAD)
         assert rep.gamma_int >= 0.0
         assert rep.gamma_total == pytest.approx(
-            gamma_total(total_mass(model), CSL), rel=1e-12
+            gamma_total(total_mass(model), CSL), rel=1e-12, abs=0
         )
         assert rep.gamma_cm + rep.gamma_int == pytest.approx(
-            rep.gamma_total, rel=1e-9
+            rep.gamma_total, rel=1e-9, abs=0
         )
         assert 0.0 <= rep.reduction_factor <= 1.0 + 1e-9
 
@@ -190,7 +241,7 @@ class TestSplitting:
 
     def test_point_mass_reduction_is_unity(self):
         rep = heating_report(PointMass(1e-9), CSL, QUAD)
-        assert rep.reduction_factor == pytest.approx(1.0, rel=1e-9)
+        assert rep.reduction_factor == pytest.approx(1.0, rel=1e-9, abs=0)
 
     def test_large_cube_internal_dominates(self):
         cube = Cuboid(10 * R_C, 10 * R_C, 10 * R_C, SILICON)
@@ -212,17 +263,17 @@ class TestSplitting:
         denser = Cuboid(3 * R_C, 2 * R_C, 5 * R_C, Material("x", 10 * 2329.0))
         r1 = heating_report(base, CSL, QUAD).reduction_factor
         r2 = heating_report(denser, CSL, QUAD).reduction_factor
-        assert r2 == pytest.approx(r1, rel=1e-12)
+        assert r2 == pytest.approx(r1, rel=1e-12, abs=0)
         # joint rescale of all lengths and r_c
         scaled = Cuboid(6 * R_C, 4 * R_C, 10 * R_C, SILICON)
         r3 = heating_report(
             scaled, CslParams(CSL.lambda_rate, 2 * R_C), QUAD
         ).reduction_factor
-        assert r3 == pytest.approx(r1, rel=1e-10)
+        assert r3 == pytest.approx(r1, rel=1e-10, abs=0)
 
     def test_lambda_linearity(self):
         cube = Cuboid(2 * R_C, 2 * R_C, 2 * R_C, SILICON)
         g1 = gamma_cm(cube, CslParams(1.0, R_C), QUAD).value
         g2 = gamma_cm(cube, CslParams(3.5e-12, R_C), QUAD).value
-        assert g2 == pytest.approx(3.5e-12 * g1, rel=1e-12)
+        assert g2 == pytest.approx(3.5e-12 * g1, rel=1e-12, abs=0)
 

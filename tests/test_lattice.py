@@ -30,7 +30,12 @@ from cslheat import (
     total_mass,
 )
 from cslheat.lattice import _axis_marginals, _axis_pair_sums
-from conftest import full_grid_lattice, gamma_cm_pair_tensor, gamma_cm_quadrature
+from conftest import (
+    full_grid_lattice,
+    gamma_cm_pair_tensor,
+    gamma_cm_quadrature,
+    mu_tilde_site_matrix,
+)
 
 R_C = 1e-7
 CSL = CslParams(1e-16, R_C)
@@ -134,6 +139,34 @@ class TestMuTildeDiscrete:
         assert np.all(
             np.abs(mu_tilde_discrete(lat, k)) <= lat.total_mass * (1 + 1e-12)
         )
+
+    @pytest.mark.parametrize("sites,k_shape", [
+        (37, (3,)), (37, (40, 3)), (37, (4, 5, 3)),
+        (70001, (3,)), (70001, (40, 3)), (70001, (4, 5, 3)),
+        (3, (70001, 3)),
+    ])
+    def test_matches_site_matrix(self, rng, sites, k_shape):
+        # 37 sites fit one block, 70001 sites end in a partial one, and
+        # with 70001 wavevectors every block holds a single site
+        lat = random_lattice(rng, sites, 3e-7)
+        k = rng.normal(0.0, 1.0 / R_C, k_shape)
+        got = mu_tilde_discrete(lat, k)
+        want = mu_tilde_site_matrix(lat, k)
+        assert np.shape(got) == k_shape[:-1]
+        assert np.max(np.abs(got - want)) <= 1e-13 * lat.total_mass
+
+    def test_memory_stays_small(self):
+        cube = Cuboid(2 * R_C, 2 * R_C, 2 * R_C, SILICON)
+        lat = build_lattice(cube, 2 * R_C / 100)
+        assert lat.n_cells == 1_000_000
+        tracemalloc.start()
+        try:
+            mu_tilde_discrete(lat, np.array([0.6, -0.64, 0.48]) / R_C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (N, 1) complex phase matrix needed about 40 MB here
+        assert peak < 16e6
 
     def test_convergence_to_continuum(self):
         cube = Cuboid(2 * R_C, 2 * R_C, 2 * R_C, SILICON)

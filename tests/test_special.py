@@ -4,6 +4,7 @@ Reference values were generated offline with mpmath at 40 digits; they
 bracket each branch switch so accuracy across the switch is pinned.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -55,19 +56,25 @@ SPHERE_REFS = [
 ]
 
 
+# scipy's J1 is accurate to about 4e-16 absolute; at x = 120, where 2 J1(x)/x
+# is 2e-4, that leaves 7.3e-18 absolute, 3.7e-14 relative
+J1_ABS_TOL = {120.0: 1e-17}
+
+
 @pytest.mark.parametrize("x,expected", J1_REFS)
 def test_two_j1_over_x_reference(x, expected):
-    assert two_j1_over_x(x) == pytest.approx(expected, rel=1e-14)
+    tol = J1_ABS_TOL.get(x, 0)
+    assert two_j1_over_x(x) == pytest.approx(expected, rel=1e-14, abs=tol)
 
 
 @pytest.mark.parametrize("x,expected", SINC_REFS)
 def test_sinc_reference(x, expected):
-    assert sinc(x) == pytest.approx(expected, rel=1e-14)
+    assert sinc(x) == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("x,expected", SPHERE_REFS)
 def test_sphere_kernel_reference(x, expected):
-    assert sphere_form_kernel(x) == pytest.approx(expected, rel=1e-14)
+    assert sphere_form_kernel(x) == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("func", [sinc, sphere_form_kernel, two_j1_over_x])
@@ -98,5 +105,49 @@ def test_j1_zero():
 def test_sphere_kernel_zero_at_tan_root():
     # the kernel vanishes where tan x = x; root found independently
     root = brentq(lambda x: np.tan(x) - x, 4.3, 4.6, xtol=1e-14)
-    assert root == pytest.approx(4.493409457909064, rel=1e-12)
+    assert root == pytest.approx(4.493409457909064, rel=1e-12, abs=0)
     assert abs(sphere_form_kernel(root)) < 1e-15
+
+
+def _mp_reference(name, x):
+    # 650 digits: the sphere kernel's direct form cancels ~2 log10(1/x) of them
+    with mpmath.workdps(650):
+        x = mpmath.mpf(x)
+        if name == "sinc":
+            value = mpmath.sin(x) / x
+        elif name == "two_j1_over_x":
+            value = 2 * mpmath.besselj(1, x) / x
+        else:
+            value = 3 * (mpmath.sin(x) - x * mpmath.cos(x)) / x**3
+        return float(value)
+
+
+# both sides of the 1e-8 unit cut of sinc and 2 J1(x)/x, of their former
+# 1e-4 series switch, and of the sphere kernel's series switch at 1; a cut
+# at 1e-6 would be off by 1.6e-13 at 9.9e-7, and the sphere kernel's direct
+# form by 7e-14 at 0.1
+SWITCH_POINTS = [
+    1e-300, 9.9e-9, 1e-8, 1.01e-8, 9.9e-7, 1e-5, 5e-5, 9.99e-5, 1e-4,
+    1.001e-4, 3e-4, 0.01, 0.1, 0.5, 0.999, 1.0, 1.001, 1.5, 3.0,
+]
+
+
+@pytest.mark.parametrize("x", SWITCH_POINTS)
+@pytest.mark.parametrize("func", [sinc, sphere_form_kernel, two_j1_over_x],
+                         ids=lambda f: f.__name__)
+def test_one_branch_kernels_match_mpmath(func, x):
+    want = _mp_reference(func.__name__, x)
+    assert func(x) == pytest.approx(want, rel=1e-14, abs=0)
+    assert func(np.array([x, -x]))[1] == func(x)
+
+
+def test_subnormal_arguments_give_one():
+    x = np.array([5e-324, -1e-310, 2e-308])
+    for func in (sinc, sphere_form_kernel, two_j1_over_x):
+        np.testing.assert_array_equal(func(x), 1.0)
+
+
+@pytest.mark.parametrize("func", [sinc, sphere_form_kernel, two_j1_over_x])
+def test_nan_stays_nan(func):
+    assert np.isnan(func(float("nan")))
+    assert np.isnan(func(np.array([0.0, np.nan, 1e-9]))).tolist() == [False, True, False]
