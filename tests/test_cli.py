@@ -330,8 +330,10 @@ def test_parser_reuse_keeps_output(capsys):
 
 # Payloads of every committed spec recorded from commit d6f4238, before the
 # one-branch special kernels, the blocked Monte-Carlo estimator and the
-# site-blocked mu_tilde_discrete.  Commands that run none of those emit the
-# same bytes; the rest agree with the recording to rounding.
+# site-blocked mu_tilde_discrete; those of sphere, cylinder, point_offset and
+# stack_offset recorded from commit 3c106e8, before the one-class-per-shape
+# geometry.  Commands that run none of those emit the same bytes; the rest
+# agree with the recording to rounding.
 RECORDED = json.loads((Path(__file__).resolve().parent / "data" /
                        "cli_payloads.json").read_text())
 # fields computed by the rewritten routes, with the agreement each holds to
