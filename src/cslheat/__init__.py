@@ -62,7 +62,6 @@ from .lattice import (
     lattice_check,
     mu_tilde_discrete,
 )
-from .quadrature import QuadratureNotConverged, adaptive_gk
 from .analysis import (
     ConstraintViolation,
     DiscriminabilityReport,

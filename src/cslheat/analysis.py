@@ -24,6 +24,11 @@ from .geometry import Layer, LayeredStack, MassModel, Material
 from .heating import gamma_cm, heating_report
 
 
+# a design's pair sums take O(pairs^2) time (about 1 s at 2,000 pairs) and
+# its layer tuple O(pairs) memory; 10^8 pairs would not fit in memory
+MAX_PAIRS = 10_000
+
+
 class InfeasibleDesign(ValueError):
     """The requested layer family cannot satisfy its constraints."""
 
@@ -137,8 +142,8 @@ def design_stack(
     n_pairs layers.  Every design in the family contains both materials,
     so the mass ratio is well defined for any pair count, including one.
     """
-    if n_pairs < 1:
-        raise InfeasibleDesign(f"need at least one layer pair, got {n_pairs}")
+    if not 1 <= n_pairs <= MAX_PAIRS:
+        raise InfeasibleDesign(f"need 1 to {MAX_PAIRS} layer pairs, got {n_pairs}")
     if not total_mass_kg > 0:
         raise InfeasibleDesign(f"total mass must be > 0, got {total_mass_kg}")
     if not mass_ratio > 0:

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    MAX_PAIRS,
     ConstraintViolation,
     InfeasibleDesign,
     design_stack,
@@ -33,6 +34,7 @@ from .core import (
     ExperimentSpec,
     ParseError,
     ValidationError,
+    _fields_to_dict,
     load_spec,
     parse_material,
     spec_hash,
@@ -57,17 +59,11 @@ def _load(args) -> ExperimentSpec:
 
 
 def _payload(spec: ExperimentSpec, command: str, result: dict) -> dict:
-    q = spec.quadrature
     return {
         "command": command,
         "spec_hash": spec_hash(spec),
         "constants_version": CONSTANTS_VERSION,
-        "quadrature": {
-            "rel_tol": q.rel_tol,
-            "u_max": q.u_max,
-            "mc_samples": q.mc_samples,
-            "rng_seed": q.rng_seed,
-        },
+        "quadrature": _fields_to_dict(spec.quadrature),
         "result": result,
     }
 
@@ -248,6 +244,8 @@ def cmd_optimize(args) -> int:
     total, mats, cross, ratio = _design_family(spec)
     n_min = _task(spec, "n_min", int)
     n_max = _task(spec, "n_max", int)
+    if n_max - n_min >= MAX_PAIRS:  # refused before the range is walked
+        raise TaskError(f"task.n_max: more than {MAX_PAIRS} pair counts from n_min {n_min}")
     result = optimize_layers(
         total, mats, cross, range(n_min, n_max + 1), spec.csl, spec.quadrature,
         mass_ratio=ratio,

@@ -29,23 +29,15 @@ a built-in material (see BUILTIN_MATERIALS).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Collection, Iterable
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
-from .geometry import (
-    Cuboid,
-    Cylinder,
-    Layer,
-    LayeredStack,
-    MassModel,
-    Material,
-    PointMass,
-    Sphere,
-    total_mass,
-)
+from .geometry import SHAPES, Layer, MassModel, Material, total_mass
 
 CONSTANTS_VERSION = "codata2018"
 
@@ -79,7 +71,10 @@ BUILTIN_MATERIALS = {
 
 SPEC_VERSION = 1
 
-_QUAD_DEFAULTS = {"rel_tol": 1e-9, "u_max": 8.0, "mc_samples": 200_000, "rng_seed": 0}
+_LAYER_KEYS = ("material", "thickness")
+# Monte-Carlo runs in time linear in the samples (0.25-0.32 s CPU per 2e5
+# samples of a stack): the cap keeps a spec's heat --mc to about 15 s
+MAX_MC_SAMPLES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -98,7 +93,8 @@ class QuadratureSpec:
                 (see heating.heating_report)
     u_max       |k| * r_c cutoff of the adaptive-quadrature oracle of the
                 tests (Gaussian tail exp(-u_max^2) is 1.6e-28 at 8)
-    mc_samples  Monte-Carlo sample count, an integer >= 1000
+    mc_samples  Monte-Carlo sample count, an integer >= 1000 (at most
+                MAX_MC_SAMPLES in a spec)
     rng_seed    seed of the counter-based (Philox) generator, an integer >= 0
     """
 
@@ -144,7 +140,8 @@ class Violation:
     message: str
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str):
+def _require_keys(obj: dict, allowed: Collection[str], required: Iterable[str], path: str):
+    """Refuse the first unknown key, then the first missing one in `required` order."""
     for key in obj:
         if key not in allowed:
             raise ValidationError(f"{path}.{key}", "unknown key")
@@ -188,68 +185,53 @@ def parse_material(val, path: str = "material") -> Material:
             raise ValidationError(path, f"unknown material {val!r}")
         return Material(val, BUILTIN_MATERIALS[val])
     if isinstance(val, dict):
-        _require_keys(val, {"name", "density"}, {"name", "density"}, path)
+        _require_keys(val, ("name", "density"), ("name", "density"), path)
         return Material(str(val["name"]), _number(val, "density", path))
     raise ValidationError(path, "material must be a name or a {name, density} object")
+
+
+def _read_layers(obj: dict, key: str, path: str) -> tuple[Layer, ...]:
+    raw = obj[key]
+    if not isinstance(raw, list) or not raw:
+        raise ValidationError(f"{path}.{key}", "expected a non-empty array")
+    layers = []
+    for i, entry in enumerate(raw):
+        lpath = f"{path}.{key}[{i}]"
+        if not isinstance(entry, dict):
+            raise ValidationError(lpath, "expected an object")
+        _require_keys(entry, _LAYER_KEYS, _LAYER_KEYS, lpath)
+        layers.append(Layer(parse_material(entry["material"], f"{lpath}.material"),
+                            _number(entry, "thickness", lpath)))
+    return tuple(layers)
+
+
+@functools.cache
+def _spec_fields(cls, extra: tuple[str, ...] = ()):
+    """Allowed keys (fields and `extra`), required keys (fields without a
+    default) and (name, read, check, write) per field of cls."""
+    fs = fields(cls)
+    return (frozenset(extra + tuple(f.name for f in fs)),
+            tuple(f.name for f in fs if f.default is MISSING),
+            tuple((f.name, *_FIELDS.get(f.name, _NUMBER)) for f in fs))
+
+
+def _read_fields(cls, obj, path: str, extra: tuple[str, ...] = ()):
+    """cls from a JSON object holding one key per dataclass field of cls."""
+    if not isinstance(obj, dict):
+        raise ValidationError(path, "expected an object")
+    allowed, required, table = _spec_fields(cls, extra)
+    _require_keys(obj, allowed, required, path)
+    return cls(**{name: read(obj, name, path) for name, read, _, _ in table if name in obj})
 
 
 def _parse_model(obj, path: str = "mass_model") -> MassModel:
     if not isinstance(obj, dict):
         raise ValidationError(path, "expected an object")
     kind = obj.get("type")
-    common = {"type", "offset"}
-    offset = _vector3(obj, "offset", path) if "offset" in obj else (0.0, 0.0, 0.0)
-    if kind == "point":
-        _require_keys(obj, common | {"mass", "position"}, {"mass"}, path)
-        pos = _vector3(obj, "position", path) if "position" in obj else (0.0, 0.0, 0.0)
-        return PointMass(_number(obj, "mass", path), pos, offset)
-    if kind == "cuboid":
-        _require_keys(obj, common | {"lx", "ly", "lz", "material"},
-                      {"lx", "ly", "lz", "material"}, path)
-        return Cuboid(
-            _number(obj, "lx", path),
-            _number(obj, "ly", path),
-            _number(obj, "lz", path),
-            parse_material(obj["material"], f"{path}.material"),
-            offset,
-        )
-    if kind == "sphere":
-        _require_keys(obj, common | {"radius", "material"}, {"radius", "material"}, path)
-        return Sphere(
-            _number(obj, "radius", path),
-            parse_material(obj["material"], f"{path}.material"),
-            offset,
-        )
-    if kind == "cylinder":
-        _require_keys(obj, common | {"radius", "height", "material"},
-                      {"radius", "height", "material"}, path)
-        return Cylinder(
-            _number(obj, "radius", path),
-            _number(obj, "height", path),
-            parse_material(obj["material"], f"{path}.material"),
-            offset,
-        )
-    if kind == "layered_stack":
-        _require_keys(obj, common | {"lx", "ly", "layers"}, {"lx", "ly", "layers"}, path)
-        raw_layers = obj["layers"]
-        if not isinstance(raw_layers, list) or not raw_layers:
-            raise ValidationError(f"{path}.layers", "expected a non-empty array")
-        layers = []
-        for i, entry in enumerate(raw_layers):
-            lpath = f"{path}.layers[{i}]"
-            if not isinstance(entry, dict):
-                raise ValidationError(lpath, "expected an object")
-            _require_keys(entry, {"material", "thickness"}, {"material", "thickness"}, lpath)
-            layers.append(
-                Layer(
-                    parse_material(entry["material"], f"{lpath}.material"),
-                    _number(entry, "thickness", lpath),
-                )
-            )
-        return LayeredStack(
-            _number(obj, "lx", path), _number(obj, "ly", path), tuple(layers), offset
-        )
-    raise ValidationError(f"{path}.type", f"unknown mass model type {kind!r}")
+    # a JSON array or object as the type is unhashable: test for str first
+    if not (isinstance(kind, str) and kind in SHAPES):
+        raise ValidationError(f"{path}.type", f"unknown mass model type {kind!r}")
+    return _read_fields(SHAPES[kind], obj, path, extra=("type",))
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -277,7 +259,7 @@ def loads_spec(text: str) -> ExperimentSpec:
     _require_keys(
         doc,
         {"version", "csl", "mass_model", "thermal", "quadrature", "task"},
-        {"version", "csl", "mass_model"},
+        ("version", "csl", "mass_model"),
         "spec",
     )
     version = doc["version"]
@@ -287,34 +269,16 @@ def loads_spec(text: str) -> ExperimentSpec:
     csl_obj = doc["csl"]
     if not isinstance(csl_obj, dict):
         raise ValidationError("csl", "expected an object")
-    _require_keys(csl_obj, {"lambda", "r_c"}, {"lambda", "r_c"}, "csl")
+    _require_keys(csl_obj, ("lambda", "r_c"), ("lambda", "r_c"), "csl")
     csl = CslParams(_number(csl_obj, "lambda", "csl"), _number(csl_obj, "r_c", "csl"))
 
     model = _parse_model(doc["mass_model"])
 
     thermal = None
     if doc.get("thermal") is not None:
-        tobj = doc["thermal"]
-        if not isinstance(tobj, dict):
-            raise ValidationError("thermal", "expected an object")
-        _require_keys(tobj, {"gamma_th", "temperature"}, {"gamma_th", "temperature"},
-                      "thermal")
-        thermal = ThermalModel(
-            _number(tobj, "gamma_th", "thermal"),
-            _number(tobj, "temperature", "thermal"),
-        )
+        thermal = _read_fields(ThermalModel, doc["thermal"], "thermal")
 
-    qobj = doc.get("quadrature") or {}
-    if not isinstance(qobj, dict):
-        raise ValidationError("quadrature", "expected an object")
-    _require_keys(qobj, set(_QUAD_DEFAULTS), set(), "quadrature")
-    merged = {**_QUAD_DEFAULTS, **qobj}
-    quadrature = QuadratureSpec(
-        rel_tol=_number(merged, "rel_tol", "quadrature"),
-        u_max=_number(merged, "u_max", "quadrature"),
-        mc_samples=_integer(merged, "mc_samples", "quadrature"),
-        rng_seed=_integer(merged, "rng_seed", "quadrature"),
-    )
+    quadrature = _read_fields(QuadratureSpec, doc.get("quadrature") or {}, "quadrature")
 
     task = doc.get("task")
     if task is not None and not isinstance(task, dict):
@@ -335,48 +299,27 @@ def loads_spec(text: str) -> ExperimentSpec:
     return spec
 
 
-def _validate_model(model: MassModel, out: list[Violation], path: str = "mass_model"):
-    def positive(value, field):
-        if not (value > 0):
-            out.append(Violation(f"{path}.{field}", f"must be > 0, got {value!r}"))
+def _check_positive(value, field: str, out: list[Violation]) -> None:
+    if not (value > 0):
+        out.append(Violation(field, f"must be > 0, got {value!r}"))
 
-    if isinstance(model, PointMass):
-        positive(model.mass, "mass")
-    elif isinstance(model, Cuboid):
-        positive(model.lx, "lx")
-        positive(model.ly, "ly")
-        positive(model.lz, "lz")
-        positive(model.material.density, "material.density")
-    elif isinstance(model, Sphere):
-        positive(model.radius, "radius")
-        positive(model.material.density, "material.density")
-    elif isinstance(model, Cylinder):
-        positive(model.radius, "radius")
-        positive(model.height, "height")
-        positive(model.material.density, "material.density")
-    elif isinstance(model, LayeredStack):
-        positive(model.lx, "lx")
-        positive(model.ly, "ly")
-        if not model.layers:
-            out.append(Violation(f"{path}.layers", "must have at least one layer"))
-        for i, layer in enumerate(model.layers):
-            if not (layer.thickness > 0):
-                out.append(
-                    Violation(
-                        f"{path}.layers[{i}].thickness",
-                        f"must be > 0, got {layer.thickness!r}",
-                    )
-                )
-            if not (layer.material.density > 0):
-                out.append(
-                    Violation(
-                        f"{path}.layers[{i}].material.density",
-                        f"must be > 0, got {layer.material.density!r}",
-                    )
-                )
-    else:
+
+def _check_layers(layers, field: str, out: list[Violation]) -> None:
+    if not layers:
+        out.append(Violation(field, "must have at least one layer"))
+    for i, layer in enumerate(layers):
+        for name, value in (("thickness", layer.thickness),
+                            ("material.density", layer.material.density)):
+            if not (value > 0):
+                out.append(Violation(f"{field}[{i}].{name}", f"must be > 0, got {value!r}"))
+
+
+def _validate_model(model: MassModel, out: list[Violation], path: str = "mass_model"):
+    if not isinstance(model, MassModel):
         out.append(Violation(path, f"unknown model type {type(model).__name__}"))
         return
+    for name, _, check, _ in _spec_fields(type(model))[2]:
+        check(getattr(model, name), f"{path}.{name}", out)
     try:
         if not (total_mass(model) > 0):
             out.append(Violation(path, "total mass must be > 0"))
@@ -408,6 +351,8 @@ def validate_spec(spec: ExperimentSpec) -> list[Violation]:
         out.append(Violation("quadrature.u_max", "must be >= 6"))
     if not (q.mc_samples >= 1000):
         out.append(Violation("quadrature.mc_samples", "must be >= 1000"))
+    elif q.mc_samples > MAX_MC_SAMPLES:
+        out.append(Violation("quadrature.mc_samples", f"must be <= {MAX_MC_SAMPLES}"))
     if not (q.rng_seed >= 0):
         out.append(Violation("quadrature.rng_seed", "must be >= 0"))
     return out
@@ -417,63 +362,47 @@ def _material_to_dict(material: Material) -> dict:
     return {"name": material.name, "density": material.density}
 
 
-def _model_to_dict(model: MassModel) -> dict:
-    if isinstance(model, PointMass):
-        out = {"type": "point", "mass": model.mass, "position": list(model.position)}
-    elif isinstance(model, Cuboid):
-        out = {
-            "type": "cuboid",
-            "lx": model.lx,
-            "ly": model.ly,
-            "lz": model.lz,
-            "material": _material_to_dict(model.material),
-        }
-    elif isinstance(model, Sphere):
-        out = {
-            "type": "sphere",
-            "radius": model.radius,
-            "material": _material_to_dict(model.material),
-        }
-    elif isinstance(model, Cylinder):
-        out = {
-            "type": "cylinder",
-            "radius": model.radius,
-            "height": model.height,
-            "material": _material_to_dict(model.material),
-        }
-    elif isinstance(model, LayeredStack):
-        out = {
-            "type": "layered_stack",
-            "lx": model.lx,
-            "ly": model.ly,
-            "layers": [
-                {"material": _material_to_dict(l.material), "thickness": l.thickness}
-                for l in model.layers
-            ],
-        }
-    else:
-        raise TypeError(f"not a mass model: {model!r}")
-    out["offset"] = list(model.offset)
-    return out
+def _layers_to_list(layers) -> list:
+    return [{"material": _material_to_dict(layer.material), "thickness": layer.thickness}
+            for layer in layers]
+
+
+def _fields_to_dict(obj) -> dict:
+    """JSON object of a spec dataclass: one key per field."""
+    table = _spec_fields(type(obj))[2]
+    return {name: write(getattr(obj, name)) for name, _, _, write in table}
+
+
+# (read, check, write) of each spec field that is not a positive number:
+# read(obj, key, path) parses the JSON value, check(value, field,
+# violations) validates a mass-model field and write(value) turns it back
+# into JSON; validate_spec checks the quadrature integers
+_NUMBER = (_number, _check_positive, lambda value: value)
+_VECTOR = (_vector3, lambda value, field, out: None, list)
+_INTEGER = (_integer, None, lambda value: value)
+_FIELDS = {
+    "mc_samples": _INTEGER,
+    "rng_seed": _INTEGER,
+    "material": (
+        lambda obj, key, path: parse_material(obj[key], f"{path}.{key}"),
+        lambda m, field, out: _check_positive(m.density, f"{field}.density", out),
+        _material_to_dict,
+    ),
+    "layers": (_read_layers, _check_layers, _layers_to_list),
+    "offset": _VECTOR,
+    "position": _VECTOR,
+}
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
     out = {
         "version": spec.version,
         "csl": {"lambda": spec.csl.lambda_rate, "r_c": spec.csl.r_c},
-        "mass_model": _model_to_dict(spec.mass_model),
-        "quadrature": {
-            "rel_tol": spec.quadrature.rel_tol,
-            "u_max": spec.quadrature.u_max,
-            "mc_samples": spec.quadrature.mc_samples,
-            "rng_seed": spec.quadrature.rng_seed,
-        },
+        "mass_model": {"type": spec.mass_model.kind, **_fields_to_dict(spec.mass_model)},
+        "quadrature": _fields_to_dict(spec.quadrature),
     }
     if spec.thermal is not None:
-        out["thermal"] = {
-            "gamma_th": spec.thermal.gamma_th,
-            "temperature": spec.thermal.temperature,
-        }
+        out["thermal"] = _fields_to_dict(spec.thermal)
     if spec.task is not None:
         out["task"] = spec.task
     return out

@@ -38,19 +38,8 @@ from math import ceil, fsum
 import numpy as np
 
 from .core import CONSTANTS, CslParams
-from .geometry import (
-    Cuboid,
-    Cylinder,
-    LayeredStack,
-    MassModel,
-    Material,
-    NotSeparable,
-    PointMass,
-    Sphere,
-    extents,
-    mu_tilde,
-    total_mass,
-)
+from .geometry import Cuboid, MassModel, Material, NotSeparable, PointMass
+from .geometry import extents, mu_tilde, total_mass
 from .heating import gamma_total
 
 DEFAULT_SITE_CAP = 100_000_000
@@ -121,19 +110,13 @@ def build_lattice(
             f"grid of {n_total} candidate sites exceeds the cap {site_cap}"
         )
     x, y, z = np.ix_(*(a - c for a, c in zip(axes, center)))
-    if isinstance(model, Sphere):
-        inside = x * x + y * y + z * z <= model.radius**2
-    elif isinstance(model, Cylinder):
-        inside = (x**2 + y**2 <= model.radius**2) & (np.abs(z) <= 0.5 * model.height)
-    else:  # cuboid or layered stack: the bounding box
-        inside = (np.abs(x) <= 0.5 * ext[0]) & (np.abs(y) <= 0.5 * ext[1])
-        inside = inside & (np.abs(z) <= 0.5 * ext[2])
-    if isinstance(model, LayeredStack):
-        bounds = -0.5 * ext[2] + np.cumsum([0.0] + [l.thickness for l in model.layers])
-        rho = np.array([l.material.density for l in model.layers])
+    inside = model.inside(x, y, z)
+    if model.separable:
+        widths, rho = model.z_profile()
+        bounds = -0.5 * ext[2] + np.cumsum([0.0, *widths])
         idx = np.clip(np.searchsorted(bounds, z.ravel(), side="right") - 1,
                       0, len(rho) - 1)
-        density = rho[idx]  # per z plane
+        density = np.asarray(rho)[idx]  # per z plane
     else:
         density = model.material.density
 
@@ -152,8 +135,10 @@ def build_lattice(
 def mu_tilde_discrete(lat: Lattice, k):
     """Direct geometry-factor sum over sites: sum_l m_l exp(-i k . R_l).
 
-    Summed as m @ cos(k . R) - i m @ sin(k . R) over site blocks of about
-    _PAIR_BLOCK phases, so memory does not grow with the site count.
+    Summed as m cos(k . R) - i m sin(k . R) over site blocks of about
+    _PAIR_BLOCK phases, so memory does not grow with the site count.  Each
+    block reduces site by site in a fixed order, not by a BLAS product,
+    whose order (and so whose last bits) would follow the thread count.
     """
     k = np.asarray(k, dtype=float)
     single = k.shape == (3,)
@@ -162,8 +147,9 @@ def mu_tilde_discrete(lat: Lattice, k):
     step = max(1, _PAIR_BLOCK // max(len(kk), 1))
     for i in range(0, len(lat.masses), step):
         phases = lat.positions[i : i + step] @ kk.T
-        re += lat.masses[i : i + step] @ np.cos(phases)
-        im -= lat.masses[i : i + step] @ np.sin(phases)
+        m_blk = lat.masses[i : i + step, None]
+        re += (m_blk * np.cos(phases)).sum(axis=0)
+        im -= (m_blk * np.sin(phases)).sum(axis=0)
     out = re + 1j * im
     return complex(out[0]) if single else out.reshape(k.shape[:-1])
 
@@ -269,9 +255,10 @@ def _axis_pair_sums(
 def _axis_marginals(model, spacing):
     """Per-axis 1D site marginals (positions, weights, pitch) for a product grid.
 
-    The z grid of a layered stack is aligned to the layer boundaries
-    (per-layer pitch close to `spacing`), so no cell straddles a density
-    jump and the discretization error stays O(spacing^2).
+    A z profile of several layers gets a grid aligned to the layer
+    boundaries (per-layer pitch close to `spacing`), so no cell straddles
+    a density jump and the discretization error stays O(spacing^2); a
+    single layer takes the uniform grid of the x and y axes.
     """
     def uniform(center, length):
         n = max(1, round(length / spacing))
@@ -279,37 +266,29 @@ def _axis_marginals(model, spacing):
         pos = center + (np.arange(n) - 0.5 * (n - 1)) * p
         return pos, np.full(n, 1.0 / n), p
 
+    if not model.separable:
+        raise NotSeparable(
+            f"{type(model).__name__} has no product-grid lattice factorization"
+        )
     off = model.offset
-    if isinstance(model, Cuboid):
-        return (
-            uniform(off[0], model.lx),
-            uniform(off[1], model.ly),
-            uniform(off[2], model.lz),
-        )
-    if isinstance(model, LayeredStack):
-        zpos, zw = [], []
-        z = -0.5 * model.height
-        pitches = []
-        for layer in model.layers:
-            n = max(1, round(layer.thickness / spacing))
-            p = layer.thickness / n
-            pitches.append(p)
-            zpos.append(z + (np.arange(n) + 0.5) * p)
-            zw.append(np.full(n, layer.material.density * p))
-            z += layer.thickness
-        zpos = np.concatenate(zpos) + off[2]
-        zw = np.concatenate(zw)
-        # a single pitch is required by the banded pair sum; fall back to
-        # the direct sum when layers discretize to different pitches
-        zpitch = pitches[0] if len(set(pitches)) == 1 else None
-        return (
-            uniform(off[0], model.lx),
-            uniform(off[1], model.ly),
-            (zpos, zw, zpitch),
-        )
-    raise NotSeparable(
-        f"{type(model).__name__} has no product-grid lattice factorization"
-    )
+    xy = uniform(off[0], model.lx), uniform(off[1], model.ly)
+    widths, rho = model.z_profile()
+    if len(widths) == 1:
+        return (*xy, uniform(off[2], widths[0]))
+    zpos, zw = [], []
+    z = -0.5 * sum(widths)
+    pitches = []
+    for t, density in zip(widths, rho):
+        n = max(1, round(t / spacing))
+        p = t / n
+        pitches.append(p)
+        zpos.append(z + (np.arange(n) + 0.5) * p)
+        zw.append(np.full(n, density * p))
+        z += t
+    # a single pitch is required by the banded pair sum; fall back to
+    # the direct sum when layers discretize to different pitches
+    zpitch = pitches[0] if len(set(pitches)) == 1 else None
+    return (*xy, (np.concatenate(zpos) + off[2], np.concatenate(zw), zpitch))
 
 
 def gamma_cm_discrete_separable(
@@ -323,15 +302,11 @@ def gamma_cm_discrete_separable(
     """
     if isinstance(model, PointMass):
         return gamma_total(model.mass, csl)
-    mx, my, mz = _axis_marginals(model, spacing)
-    qp = [_axis_pair_sums(pos, w, csl.r_c, pitch) for pos, w, pitch in (mx, my, mz)]
-    shape_sum = 0.0
-    for i in range(3):
-        term = qp[i][1]
-        for j in range(3):
-            if j != i:
-                term *= qp[j][0]
-        shape_sum += term
+    (q_x, p_x), (q_y, p_y), (q_z, p_z) = (
+        _axis_pair_sums(pos, w, csl.r_c, pitch)
+        for pos, w, pitch in _axis_marginals(model, spacing)
+    )
+    shape_sum = p_x * q_y * q_z + p_y * q_x * q_z + p_z * q_x * q_y
     c = CONSTANTS
     return (
         csl.lambda_rate

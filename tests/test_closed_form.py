@@ -33,7 +33,8 @@ from cslheat import (
     optimize_layers,
     scan_rc,
 )
-from cslheat.heating import I3_FREE, REL_ERROR, _profile_ab
+from cslheat.heating import I3_FREE, REL_ERROR
+from cslheat.special import _profile_ab
 from conftest import i3_quadrature
 
 QUAD = QuadratureSpec()

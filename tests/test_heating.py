@@ -23,7 +23,7 @@ from cslheat import (
     gamma_total,
     heating_report,
 )
-from cslheat.heating import I3_FREE, _shape_integral
+from cslheat.heating import I3_FREE
 from conftest import gamma_cm_mc_oneshot, i3_quadrature
 
 R_C = 1e-7
@@ -70,14 +70,14 @@ class TestGammaCm:
     def test_gaussian_moment_identity_radial(self):
         # closed form and quadrature oracle reproduce the free-space moment
         for model in (PointMass(1e-9), Sphere(R_C * 1e-9, SILICON)):
-            assert _shape_integral(model, R_C) == pytest.approx(I3_FREE, rel=1e-12, abs=0)
+            assert model.shape_integral(R_C) == pytest.approx(I3_FREE, rel=1e-12, abs=0)
         i3, _ = i3_quadrature(PointMass(1e-9), R_C, QUAD)
         assert i3 == pytest.approx(I3_FREE, rel=1e-12, abs=0)
 
     def test_gaussian_moment_identity_separable(self):
         # vanishing cuboid: |f| = 1 through the product path
         tiny = Cuboid(R_C * 1e-9, R_C * 1e-9, R_C * 1e-9, SILICON)
-        assert _shape_integral(tiny, R_C) == pytest.approx(I3_FREE, rel=1e-12, abs=0)
+        assert tiny.shape_integral(R_C) == pytest.approx(I3_FREE, rel=1e-12, abs=0)
         i3, _ = i3_quadrature(tiny, R_C, QUAD)
         assert i3 == pytest.approx(I3_FREE, rel=1e-12, abs=0)
 
