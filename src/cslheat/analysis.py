@@ -16,7 +16,7 @@ lambda.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from .core import CONSTANTS, CONSTANTS_VERSION, CslParams, QuadratureSpec, ThermalModel
@@ -226,16 +226,6 @@ class DiscriminabilityReport:
     threshold: float
     discriminating: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "gamma_cms": list(self.gamma_cms),
-            "thermal_power": self.thermal_power,
-            "saturation_powers": list(self.saturation_powers),
-            "spread": self.spread,
-            "threshold": self.threshold,
-            "discriminating": self.discriminating,
-        }
-
 
 def discriminability_report(
     designs: Sequence[LayerDesign],
@@ -280,6 +270,10 @@ def discriminability_report(
     )
 
 
+def _without_none(items) -> dict:
+    return {key: value for key, value in items if value is not None}
+
+
 @dataclass(frozen=True)
 class ScanRow:
     r_c: float
@@ -287,17 +281,6 @@ class ScanRow:
     reduction_factor: float
     lambda_bound: float | None
     converged: bool = True  # the closed forms always converge
-
-    def to_dict(self) -> dict:
-        out = {
-            "r_c": self.r_c,
-            "gamma_cm_per_lambda": self.gamma_cm_per_lambda,
-            "reduction_factor": self.reduction_factor,
-            "converged": self.converged,
-        }
-        if self.lambda_bound is not None:
-            out["lambda_bound"] = self.lambda_bound
-        return out
 
 
 @dataclass(frozen=True)
@@ -308,28 +291,9 @@ class ScanTable:
     metadata: dict
 
     def to_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "grid": list(self.grid),
-            "rows": [r.to_dict() for r in self.rows],
-            "metadata": self.metadata,
-        }
-
-    def to_csv(self) -> str:
-        with_bound = any(r.lambda_bound is not None for r in self.rows)
-        cols = [self.axis, "gamma_cm_per_lambda", "reduction_factor"]
-        if with_bound:
-            cols.append("lambda_bound")
-        cols.append("converged")
-        lines = [",".join(cols)]
-        for r in self.rows:
-            fields = [repr(r.r_c), repr(r.gamma_cm_per_lambda),
-                      repr(r.reduction_factor)]
-            if with_bound:
-                fields.append("" if r.lambda_bound is None else repr(r.lambda_bound))
-            fields.append("true" if r.converged else "false")
-            lines.append(",".join(fields))
-        return "\n".join(lines) + "\n"
+        """The table as JSON; rows scanned without an observed power have
+        no lambda_bound key.  Row keys follow the ScanRow field order."""
+        return asdict(self, dict_factory=_without_none)
 
 
 def scan_rc(

@@ -1,11 +1,16 @@
 """Command-line front end: one subcommand per analysis, reproducible output.
 
-Every run reads a JSON experiment spec, prints a JSON payload (or CSV for
-tabular results with --csv), and exits 0 on success, 2 on spec/task
-errors, 3 on compute errors, 4 on infeasible designs.  Payloads carry the
-spec hash, the constants version, and the spec's numerical settings; they
-contain no timestamps and are serialized as strict JSON with sorted keys
-and full-precision floats, so identical inputs give byte-identical output.
+Every run reads a JSON experiment spec and exits 0 on success, 2 on
+spec/task errors, 3 on compute errors, 4 on infeasible designs.  Each
+cmd_* function takes the parsed arguments and the loaded spec and returns
+its JSON result and, for tabular results, its rows (one dict per row, the
+keys in column order); main alone loads the spec, writes the output to
+stdout or --out and maps exceptions to exit codes.  With --csv, commands
+that have rows print them through _csv, the one CSV writer; the others
+print JSON.  Payloads carry the spec hash, the constants version, and the
+spec's numerical settings; they contain no timestamps and are serialized
+as strict JSON with sorted keys and full-precision floats, so identical
+inputs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +41,7 @@ from .core import (
     ParseError,
     ValidationError,
     _fields_to_dict,
+    _finite,
     load_spec,
     parse_material,
     spec_hash,
@@ -68,25 +75,9 @@ def _payload(spec: ExperimentSpec, command: str, result: dict) -> dict:
     }
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(args, payload: dict) -> None:
-    _emit(args, json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
-
-
 def _task_number(value, field: str, kind=float):
-    """value as a finite float, or an integral int for kind=int; else TaskError."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise TaskError(f"{field}: {exc}") from exc
-    if not math.isfinite(number):
-        raise TaskError(f"{field}: must be finite, got {value!r}")
+    """value as a finite float, or an integral int for kind=int."""
+    number = _finite(value, field)
     if kind is int:
         if not number.is_integer():
             raise TaskError(f"{field}: must be an integer, got {value!r}")
@@ -118,25 +109,27 @@ def _task_material(spec: ExperimentSpec, key: str):
     task = spec.task or {}
     if key not in task:
         raise TaskError(f"task.{key} is required for this command")
-    try:
-        return parse_material(task[key], f"task.{key}")
-    except ValidationError as exc:
-        raise TaskError(str(exc)) from exc
+    return parse_material(task[key], f"task.{key}")
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
-    # '.' decimal separator and ',' delimiter regardless of locale: repr on
-    # Python floats already guarantees that and is exact round-trip
+def _cell(value) -> str:
+    # JSON spellings of booleans; repr of a Python float is exact
+    # round-trip with a '.' decimal separator regardless of locale
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def _csv(rows: list[dict]) -> str:
+    header = list(rows[0])
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row))
+    lines += [",".join(_cell(row[key]) for key in header) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def cmd_mu(args) -> int:
-    spec = _load(args)
-    model = spec.mass_model
+def cmd_mu(args, spec: ExperimentSpec):
     points = []
     if args.at:
         for item in args.at:
@@ -156,45 +149,25 @@ def cmd_mu(args) -> int:
     if not points:
         raise TaskError("provide --at kx,ky,kz and/or a sweep "
                         "(--axis, --k-min, --k-max, --num)")
-    k = np.asarray(points, dtype=float)
-    f = normalized_form_factor(model, k)
+    f = normalized_form_factor(spec.mass_model, np.asarray(points, dtype=float))
     rows = [
-        [k[i, 0], k[i, 1], k[i, 2], float(f[i].real), float(f[i].imag),
-         float(abs(f[i]))]
-        for i in range(len(k))
+        {"kx": kx, "ky": ky, "kz": kz, "re": float(v.real), "im": float(v.imag),
+         "abs_norm": float(abs(v))}
+        for (kx, ky, kz), v in zip(points, f)
     ]
-    if args.csv:
-        _emit(args, _csv(["kx", "ky", "kz", "re", "im", "abs_norm"], rows))
-        return 0
-    result = {
-        "rows": [
-            {"kx": r[0], "ky": r[1], "kz": r[2], "re": r[3], "im": r[4],
-             "abs_norm": r[5]}
-            for r in rows
-        ]
-    }
-    _emit_json(args, _payload(spec, "mu", result))
-    return 0
+    return {"rows": rows}, rows
 
 
-def cmd_heat(args) -> int:
-    spec = _load(args)
-    report = heating_report(spec.mass_model, spec.csl, spec.quadrature)
-    result = report.to_dict()
+def cmd_heat(args, spec: ExperimentSpec):
+    result = asdict(heating_report(spec.mass_model, spec.csl, spec.quadrature))
     if args.mc:
         est = gamma_cm_mc(spec.mass_model, spec.csl, spec.quadrature)
         result["gamma_cm_mc"] = est.value
         result["gamma_cm_mc_stderr"] = est.error
-    if args.csv:
-        keys = sorted(result)
-        _emit(args, _csv(keys, [[result[k] for k in keys]]))
-        return 0
-    _emit_json(args, _payload(spec, "heat", result))
-    return 0
+    return result, [dict(sorted(result.items()))]
 
 
-def cmd_scan(args) -> int:
-    spec = _load(args)
+def cmd_scan(args, spec: ExperimentSpec):
     task = spec.task or {}
     if args.rc_min is not None or args.rc_max is not None or args.num is not None:
         if None in (args.rc_min, args.rc_max, args.num):
@@ -222,11 +195,8 @@ def cmd_scan(args) -> int:
         )
     except ValueError as exc:
         raise TaskError(str(exc)) from exc
-    if args.csv:
-        _emit(args, table.to_csv())
-        return 0
-    _emit_json(args, _payload(spec, "scan", table.to_dict()))
-    return 0
+    result = table.to_dict()
+    return result, result["rows"]
 
 
 def _design_family(spec: ExperimentSpec):
@@ -239,8 +209,7 @@ def _design_family(spec: ExperimentSpec):
     return total, (mat_a, mat_b), (lx, ly), ratio
 
 
-def cmd_optimize(args) -> int:
-    spec = _load(args)
+def cmd_optimize(args, spec: ExperimentSpec):
     total, mats, cross, ratio = _design_family(spec)
     n_min = _task(spec, "n_min", int)
     n_max = _task(spec, "n_max", int)
@@ -249,17 +218,11 @@ def cmd_optimize(args) -> int:
     result = optimize_layers(
         total, mats, cross, range(n_min, n_max + 1), spec.csl, spec.quadrature,
         mass_ratio=ratio,
-    )
-    if args.csv:
-        rows = [[n, g] for n, g in result.evaluations]
-        _emit(args, _csv(["n_pairs", "gamma_cm"], rows))
-        return 0
-    _emit_json(args, _payload(spec, "optimize", result.to_dict()))
-    return 0
+    ).to_dict()
+    return result, result["evaluations"]
 
 
-def cmd_discriminate(args) -> int:
-    spec = _load(args)
+def cmd_discriminate(args, spec: ExperimentSpec):
     if spec.thermal is None:
         raise TaskError("the spec needs a thermal block for this command")
     total, mats, cross, ratio = _design_family(spec)
@@ -272,25 +235,18 @@ def cmd_discriminate(args) -> int:
     report = discriminability_report(
         designs, spec.csl, spec.thermal, spec.quadrature, threshold=threshold
     )
-    if args.csv:
-        rows = [
-            [n, report.gamma_cms[i], report.thermal_power,
-             report.saturation_powers[i]]
-            for i, n in enumerate(pair_counts)
-        ]
-        _emit(args, _csv(
-            ["n_pairs", "gamma_cm", "thermal_power", "saturation_power"], rows
-        ))
-        return 0
-    result = report.to_dict()
+    rows = [
+        {"n_pairs": n, "gamma_cm": g, "thermal_power": report.thermal_power,
+         "saturation_power": p}
+        for n, g, p in zip(pair_counts, report.gamma_cms, report.saturation_powers)
+    ]
+    result = asdict(report)
     result["designs"] = [d.to_dict() for d in designs]
     result["n_pairs"] = pair_counts
-    _emit_json(args, _payload(spec, "discriminate", result))
-    return 0
+    return result, rows
 
 
-def cmd_bound(args) -> int:
-    spec = _load(args)
+def cmd_bound(args, spec: ExperimentSpec):
     observed = _task(spec, "observed_power")
     value = lambda_bound(
         observed, spec.mass_model, spec.csl.r_c, spec.quadrature
@@ -301,16 +257,11 @@ def cmd_bound(args) -> int:
         "lambda_max": None if math.isinf(value) else value,
         "unbounded": math.isinf(value),
     }
-    _emit_json(args, _payload(spec, "bound", result))
-    return 0
+    return result, None
 
 
-def cmd_lattice_check(args) -> int:
-    spec = _load(args)
-    seed = spec.quadrature.rng_seed
-    report = lattice_check(seed=seed, r_c=spec.csl.r_c)
-    _emit_json(args, _payload(spec, "lattice-check", report))
-    return 0 if report["all_passed"] else 3
+def cmd_lattice_check(args, spec: ExperimentSpec):
+    return lattice_check(seed=spec.quadrature.rng_seed, r_c=spec.csl.r_c), None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -377,10 +328,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        spec = _load(args)
+        result, rows = args.func(args, spec)
+        if args.csv and rows is not None:
+            text = _csv(rows)
+        else:
+            text = json.dumps(_payload(spec, args.command, result),
+                              sort_keys=True, indent=2, allow_nan=False) + "\n"
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
     except (ParseError, ValidationError, TaskError, FileNotFoundError) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
@@ -390,6 +350,8 @@ def main(argv=None) -> int:
     except (TooManySites, ArithmeticError, ValueError) as exc:
         print(f"compute error: {exc}", file=sys.stderr)
         return 3
+    # a failing lattice-check report is still written, then exits 3
+    return 3 if args.command == "lattice-check" and not result["all_passed"] else 0
 
 
 if __name__ == "__main__":

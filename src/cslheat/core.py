@@ -321,10 +321,12 @@ def _validate_model(model: MassModel, out: list[Violation], path: str = "mass_mo
     for name, _, check, _ in _spec_fields(type(model))[2]:
         check(getattr(model, name), f"{path}.{name}", out)
     try:
-        if not (total_mass(model) > 0):
-            out.append(Violation(path, "total mass must be > 0"))
+        mass = total_mass(model)
     except (TypeError, ValueError):
         out.append(Violation(path, "total mass is not computable"))
+        return
+    if not (0 < mass < math.inf):
+        out.append(Violation(path, f"total mass must be finite and > 0, got {mass!r}"))
 
 
 def validate_spec(spec: ExperimentSpec) -> list[Violation]:
@@ -339,6 +341,14 @@ def validate_spec(spec: ExperimentSpec) -> list[Violation]:
     if not (spec.csl.r_c > 0):
         out.append(Violation("csl.r_c", "must be > 0"))
     _validate_model(spec.mass_model, out)
+    if not out:
+        from .heating import gamma_total  # heating imports this module
+
+        mass = total_mass(spec.mass_model)
+        if not math.isfinite(gamma_total(mass, spec.csl)):
+            out.append(Violation("csl", f"the total heating rate of {mass!r} kg overflows "
+                                        f"at lambda {spec.csl.lambda_rate!r}, "
+                                        f"r_c {spec.csl.r_c!r}"))
     if spec.thermal is not None:
         if not (spec.thermal.gamma_th >= 0):
             out.append(Violation("thermal.gamma_th", "must be >= 0"))

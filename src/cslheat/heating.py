@@ -70,16 +70,6 @@ class HeatingReport:
     quadrature_estimate_error: float  # relative accuracy bound, REL_ERROR
     internal_clamped: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "gamma_total": self.gamma_total,
-            "gamma_cm": self.gamma_cm,
-            "gamma_int": self.gamma_int,
-            "reduction_factor": self.reduction_factor,
-            "quadrature_estimate_error": self.quadrature_estimate_error,
-            "internal_clamped": self.internal_clamped,
-        }
-
 
 def gamma_total(mass: float, csl: CslParams) -> float:
     """Total heating rate [W]: geometry-independent closed form."""

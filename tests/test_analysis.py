@@ -141,12 +141,6 @@ class TestScanRc:
                 1e-30 / row.gamma_cm_per_lambda, rel=1e-12, abs=0
             )
 
-    def test_csv_shape(self):
-        table = scan_rc(PointMass(1e-9), [1e-7, 2e-7], QUAD)
-        lines = table.to_csv().strip().split("\n")
-        assert len(lines) == 3
-        assert lines[0].startswith("r_c,")
-
 
 class TestOptimizeLayers:
     def test_zero_contrast_ties_to_fewest(self):

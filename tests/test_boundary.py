@@ -3,10 +3,12 @@
 The fuzz mutates committed specs one value, key or list entry at a time
 and runs them through cli.main: every outcome must be one of the
 documented exit codes, never a traceback, and a success must print
-strict JSON.  The slow commands (heat --mc, lattice-check) are left out.
+strict JSON, or with --csv a rectangular table.  The slow commands
+(heat --mc, lattice-check) are left out.
 """
 
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -14,6 +16,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -65,6 +68,8 @@ def _refuse_constant(token):
 @given(data=st.data())
 def test_mutated_specs_exit_cleanly(tmp_path, data):
     command = data.draw(st.sampled_from(["heat", "bound", "mu", *TASK_SPECS]))
+    # bound has no table: --csv would print the same JSON
+    fmt = ["--csv"] if command != "bound" and data.draw(st.booleans()) else []
     name = TASK_SPECS.get(command) or data.draw(st.sampled_from(SPEC_FILES))
     doc = json.loads((SPECS / name).read_text())
     path = data.draw(st.sampled_from(_paths(doc)))
@@ -81,9 +86,13 @@ def test_mutated_specs_exit_cleanly(tmp_path, data):
     spec.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, "--spec", str(spec), *EXTRA_ARGS.get(command, [])])
-    assert code in (0, 2, 3, 4), (command, name, path, action, err.getvalue())
-    if code == 0:
+        code = main([command, "--spec", str(spec), *EXTRA_ARGS.get(command, []), *fmt])
+    assert code in (0, 2, 3, 4), (command, name, path, action, fmt, err.getvalue())
+    if code == 0 and fmt:
+        header, *rows = csv.reader(io.StringIO(out.getvalue()))
+        assert len(set(header)) == len(header)
+        assert all(len(row) == len(header) for row in rows)
+    elif code == 0:
         json.loads(out.getvalue(), parse_constant=_refuse_constant)
     else:
         assert out.getvalue() == ""
@@ -95,6 +104,27 @@ def _mutated(tmp_path, name, edit):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+@pytest.mark.parametrize("name, edit, field", [
+    ("cube_large.json", lambda doc: doc["mass_model"].update(lx=1e308),
+     "mass_model: total mass"),
+    ("point.json", lambda doc: doc["csl"].update(r_c=1e-320), "csl: "),
+    ("stack16.json", lambda doc: doc["mass_model"]["layers"][3].update(thickness=1e308),
+     "mass_model: total mass"),
+], ids=["lx", "r_c", "thickness"])
+def test_extreme_finite_values_exit_2(tmp_path, capsys, name, edit, field):
+    # finite inputs whose total mass or total rate overflows are refused
+    # before any rate is computed, so numpy never warns
+    path = _mutated(tmp_path, name, edit)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["heat", "--spec", str(path)]) == 2
+    assert caught == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"spec error: {field}")
+    assert len(err.splitlines()) == 1
 
 
 def test_mass_model_type_of_any_json_kind_exits_2(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """CLI behavior: payloads, CSV shapes, exit codes, reproducibility."""
 
+import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -80,6 +82,72 @@ def test_scan_flags_and_csv(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 6
     assert lines[0].split(",")[0] == "r_c"
+
+
+# every tabular command on a committed spec: its CSV header, and the JSON
+# rows that its CSV rows must equal cell by cell
+HEAT_COLUMNS = ("gamma_cm,gamma_int,gamma_total,internal_clamped,"
+                "quadrature_estimate_error,reduction_factor")
+CSV_RUNS = {
+    "mu": (("mu", "stack16.json", "--axis", "x", "--k-min", "0", "--k-max", "3e7",
+            "--num", "5"), "kx,ky,kz,re,im,abs_norm", lambda r: r["rows"]),
+    "mu-at": (("mu", "cube_large.json", "--at", "1e7,2e7,-3e7", "--at", "0,0,0"),
+              "kx,ky,kz,re,im,abs_norm", lambda r: r["rows"]),
+    "heat": (("heat", "cube_large.json"), HEAT_COLUMNS, lambda r: [r]),
+    "heat-mc": (("heat", "cube_small.json", "--mc"),
+                HEAT_COLUMNS.replace("gamma_cm,", "gamma_cm,gamma_cm_mc,gamma_cm_mc_stderr,"),
+                lambda r: [r]),
+    "scan": (("scan", "scan.json"), "r_c,gamma_cm_per_lambda,reduction_factor,converged",
+             lambda r: r["rows"]),
+    "scan-bound": (("scan", "bound.json", "--rc-min", "1e-8", "--rc-max", "1e-6",
+                    "--num", "3"),
+                   "r_c,gamma_cm_per_lambda,reduction_factor,lambda_bound,converged",
+                   lambda r: r["rows"]),
+    "optimize": (("optimize", "optimize.json"), "n_pairs,gamma_cm",
+                 lambda r: r["evaluations"]),
+    "discriminate": (
+        ("discriminate", "discriminate.json"),
+        "n_pairs,gamma_cm,thermal_power,saturation_power",
+        lambda r: [{"n_pairs": n, "gamma_cm": g, "thermal_power": r["thermal_power"],
+                    "saturation_power": s}
+                   for n, g, s in zip(r["n_pairs"], r["gamma_cms"],
+                                      r["saturation_powers"])],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CSV_RUNS)
+def test_csv_rows_match_json(capsys, name):
+    (command, spec, *rest), header, json_rows = CSV_RUNS[name]
+    argv = (command, "--spec", str(SPECS / spec), *rest)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    want = json_rows(json.loads(out)["result"])
+    code, out, _ = run(capsys, *argv, "--csv")
+    assert code == 0
+    reader = csv.DictReader(io.StringIO(out))
+    rows = list(reader)
+    assert ",".join(reader.fieldnames) == header
+    assert len(rows) == len(want)
+    for row, expected in zip(rows, want):
+        assert row.keys() == expected.keys()
+        for key, cell in row.items():
+            if isinstance(expected[key], bool):
+                assert cell == json.dumps(expected[key])
+            else:
+                assert float(cell) == expected[key]
+
+
+def test_lattice_check_failure_written_then_exit_3(tmp_path, capsys, monkeypatch):
+    from cslheat import cli
+
+    monkeypatch.setattr(cli, "lattice_check", lambda seed, r_c: {"all_passed": False})
+    target = tmp_path / "report.json"
+    code, out, _ = run(capsys, "lattice-check", "--spec", str(SPECS / "point.json"),
+                       "--out", str(target))
+    assert code == 3
+    assert out == ""
+    assert json.loads(target.read_text())["result"] == {"all_passed": False}
 
 
 def test_bound_zero_power(tmp_path, capsys):
