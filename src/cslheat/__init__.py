@@ -18,13 +18,11 @@ from .core import (
     QuadratureSpec,
     ThermalModel,
     ValidationError,
-    Violation,
     canonical_spec_json,
     dumps_spec,
     load_spec,
     loads_spec,
     spec_hash,
-    validate_spec,
 )
 from .geometry import (
     Cuboid,

@@ -153,10 +153,17 @@ def design_stack(
     if not (material_a.density > 0 and material_b.density > 0):
         raise InfeasibleDesign("material densities must be positive")
     area = lx * ly
+    if not area > 0:
+        raise InfeasibleDesign(f"the cross-section {lx!r} x {ly!r} underflows to area 0")
     mass_a = total_mass_kg * mass_ratio / (1.0 + mass_ratio)
     mass_b = total_mass_kg / (1.0 + mass_ratio)
     t_a = mass_a / (n_pairs * material_a.density * area)
     t_b = mass_b / (n_pairs * material_b.density * area)
+    # as for a spec's stack: thicknesses > 0, a finite height and mass
+    if not (t_a > 0 and t_b > 0 and n_pairs * (t_a + t_b) < math.inf
+            and total_mass_kg / area < math.inf):
+        raise InfeasibleDesign(f"the {n_pairs}-pair stack of layer thicknesses {t_a!r} and "
+                               f"{t_b!r} has no finite height and mass per area")
     return LayerDesign(
         material_a=material_a,
         material_b=material_b,
@@ -319,6 +326,8 @@ def scan_rc(
     rows = []
     for rc in grid:
         report = heating_report(model, CslParams(1.0, rc), quad)
+        if not math.isfinite(report.gamma_total):
+            raise ValueError(f"the rate per lambda overflows at r_c {rc!r}")
         bound = None
         if observed_power is not None:
             bound = _bound_from_denominator(observed_power, report.gamma_cm)

@@ -1,11 +1,13 @@
 """Command-line front end: one subcommand per analysis, reproducible output.
 
-Every run reads a JSON experiment spec and exits 0 on success, 2 on
-spec/task errors, 3 on compute errors, 4 on infeasible designs.  Each
-cmd_* function takes the parsed arguments and the loaded spec and returns
-its JSON result and, for tabular results, its rows (one dict per row, the
-keys in column order); main alone loads the spec, writes the output to
-stdout or --out and maps exceptions to exit codes.  With --csv, commands
+Every run reads a JSON experiment spec and exits 0 on success, 2 on a
+malformed or out-of-range spec value, task key or flag value (each read
+once by the core readers and named by its JSON path or flag), 3 on
+compute errors, 4 on infeasible designs.  Each cmd_* function takes the
+parsed arguments and the loaded spec and returns its JSON result and,
+for tabular results, its rows (one dict per row, the keys in column
+order); main alone loads the spec, writes the output to stdout or --out
+and maps exceptions to exit codes.  With --csv, commands
 that have rows print them through _csv, the one CSV writer; the others
 print JSON.  Payloads carry the spec hash, the constants version, and the
 spec's numerical settings; they contain no timestamps and are serialized
@@ -36,12 +38,15 @@ from .analysis import (
     scan_rc,
 )
 from .core import (
+    _NONNEGATIVE,
+    _POSITIVE,
     CONSTANTS_VERSION,
     ExperimentSpec,
     ParseError,
     ValidationError,
     _fields_to_dict,
-    _finite,
+    _integer,
+    _number,
     load_spec,
     parse_material,
     spec_hash,
@@ -52,16 +57,29 @@ from .heating import gamma_cm_mc, heating_report
 from .lattice import TooManySites, lattice_check
 
 
-class TaskError(ValueError):
-    """Missing or malformed task parameters for a subcommand."""
+# readers of the bounded task keys and flag values; the rest read any
+# finite number with _number or an integer with _integer
+_positive = functools.partial(_number, bound=_POSITIVE)
+_nonnegative = functools.partial(_number, bound=_NONNEGATIVE)
+_count = functools.partial(_integer, bound=(">= 1", lambda v: v >= 1))
+_seed = functools.partial(_integer, bound=_NONNEGATIVE)
+
+
+def _flag(text: str, flag: str, read=_number):
+    """The value of a flag read as an int or a float, checked by read."""
+    for parse in (int, float):
+        try:
+            value = parse(text)
+        except ValueError:
+            continue
+        return read(value, flag)
+    raise ValidationError(flag, f"expected a number, got {text!r}")
 
 
 def _load(args) -> ExperimentSpec:
     spec = load_spec(args.spec)
     if args.seed is not None:
-        if args.seed < 0:
-            raise TaskError(f"--seed must be >= 0, got {args.seed}")
-        spec = with_seed(spec, args.seed)
+        spec = with_seed(spec, _flag(args.seed, "--seed", _seed))
     return spec
 
 
@@ -75,41 +93,22 @@ def _payload(spec: ExperimentSpec, command: str, result: dict) -> dict:
     }
 
 
-def _task_number(value, field: str, kind=float):
-    """value as a finite float, or an integral int for kind=int."""
-    number = _finite(value, field)
-    if kind is int:
-        if not number.is_integer():
-            raise TaskError(f"{field}: must be an integer, got {value!r}")
-        return int(number)
-    return number
-
-
-def _task(spec: ExperimentSpec, key: str, kind=float, default=None):
-    """The checked task number at key, or default when the key is absent.
-
-    A key without a default (default None) is required.
-    """
+def _task(spec: ExperimentSpec, key: str, read=_number, default=None):
+    """The task value at key checked by read, or default when the key is
+    absent; a key without a default (default None) is required."""
     task = spec.task or {}
     if key not in task:
         if default is None:
-            raise TaskError(f"task.{key} is required for this command")
+            raise ValidationError(f"task.{key}", "required for this command")
         return default
-    return _task_number(task[key], f"task.{key}", kind)
+    return read(task[key], f"task.{key}")
 
 
-def _task_list(spec: ExperimentSpec, key: str, kind=float) -> list:
+def _task_list(spec: ExperimentSpec, key: str, read=_number) -> list:
     values = (spec.task or {}).get(key)
     if not isinstance(values, list):
-        raise TaskError(f"task.{key} must be a list of numbers")
-    return [_task_number(v, f"task.{key}[{i}]", kind) for i, v in enumerate(values)]
-
-
-def _task_material(spec: ExperimentSpec, key: str):
-    task = spec.task or {}
-    if key not in task:
-        raise TaskError(f"task.{key} is required for this command")
-    return parse_material(task[key], f"task.{key}")
+        raise ValidationError(f"task.{key}", "expected a list of numbers")
+    return [read(v, f"task.{key}[{i}]") for i, v in enumerate(values)]
 
 
 def _cell(value) -> str:
@@ -131,24 +130,24 @@ def _csv(rows: list[dict]) -> str:
 
 def cmd_mu(args, spec: ExperimentSpec):
     points = []
-    if args.at:
-        for item in args.at:
-            parts = item.split(",")
-            if len(parts) != 3:
-                raise TaskError(f"--at expects kx,ky,kz, got {item!r}")
-            points.append([float(p) for p in parts])
+    for item in args.at or ():
+        parts = item.split(",")
+        if len(parts) != 3:
+            raise ValidationError("--at", f"expected kx,ky,kz, got {item!r}")
+        points.append([_flag(p, "--at") for p in parts])
     if args.num is not None:
         if args.k_min is None or args.k_max is None:
-            raise TaskError("--num requires --k-min and --k-max")
+            raise ValidationError("--num", "requires --k-min and --k-max")
         axis = {"x": 0, "y": 1, "z": 2}[args.axis]
-        sweep = np.linspace(args.k_min, args.k_max, args.num)
+        sweep = np.linspace(_flag(args.k_min, "--k-min"), _flag(args.k_max, "--k-max"),
+                            _flag(args.num, "--num", _count))
         for val in sweep:
             point = [0.0, 0.0, 0.0]
             point[axis] = float(val)
             points.append(point)
     if not points:
-        raise TaskError("provide --at kx,ky,kz and/or a sweep "
-                        "(--axis, --k-min, --k-max, --num)")
+        raise ValidationError("--at", "provide --at kx,ky,kz and/or a sweep "
+                                      "(--axis, --k-min, --k-max, --num)")
     f = normalized_form_factor(spec.mass_model, np.asarray(points, dtype=float))
     rows = [
         {"kx": kx, "ky": ky, "kz": kz, "re": float(v.real), "im": float(v.imag),
@@ -171,20 +170,24 @@ def cmd_scan(args, spec: ExperimentSpec):
     task = spec.task or {}
     if args.rc_min is not None or args.rc_max is not None or args.num is not None:
         if None in (args.rc_min, args.rc_max, args.num):
-            raise TaskError("--rc-min, --rc-max, and --num go together")
-        grid = np.geomspace(args.rc_min, args.rc_max, args.num).tolist()
+            raise ValidationError("--rc-min", "--rc-min, --rc-max and --num go together")
+        source = "--rc-min"
+        grid = np.geomspace(_flag(args.rc_min, "--rc-min", _positive),
+                            _flag(args.rc_max, "--rc-max", _positive),
+                            _flag(args.num, "--num", _count)).tolist()
     elif "rc_grid" in task:
+        source = "task.rc_grid"
         grid = _task_list(spec, "rc_grid")
     elif {"rc_min", "rc_max", "num"} <= task.keys():
-        grid = np.geomspace(
-            _task(spec, "rc_min"), _task(spec, "rc_max"), _task(spec, "num", int)
-        ).tolist()
+        source = "task.rc_min"
+        grid = np.geomspace(_task(spec, "rc_min", _positive), _task(spec, "rc_max", _positive),
+                            _task(spec, "num", _count)).tolist()
     else:
-        raise TaskError(
-            "task needs rc_grid or (rc_min, rc_max, num), "
-            "or pass --rc-min/--rc-max/--num"
-        )
-    observed = _task(spec, "observed_power") if "observed_power" in task else None
+        raise ValidationError("task", "needs rc_grid or (rc_min, rc_max, num), "
+                                      "or pass --rc-min/--rc-max/--num")
+    observed = _task(spec, "observed_power", _nonnegative) if "observed_power" in task else None
+    # scan_rc refuses an empty, non-positive or unsorted grid and one whose
+    # rate per lambda overflows
     try:
         table = scan_rc(
             spec.mass_model,
@@ -194,15 +197,15 @@ def cmd_scan(args, spec: ExperimentSpec):
             metadata={"spec_hash": spec_hash(spec)},
         )
     except ValueError as exc:
-        raise TaskError(str(exc)) from exc
+        raise ValidationError(source, str(exc)) from exc
     result = table.to_dict()
     return result, result["rows"]
 
 
 def _design_family(spec: ExperimentSpec):
     total = _task(spec, "total_mass")
-    mat_a = _task_material(spec, "material_a")
-    mat_b = _task_material(spec, "material_b")
+    mat_a = _task(spec, "material_a", parse_material)
+    mat_b = _task(spec, "material_b", parse_material)
     lx = _task(spec, "lx")
     ly = _task(spec, "ly")
     ratio = _task(spec, "mass_ratio", default=1.0)
@@ -211,10 +214,11 @@ def _design_family(spec: ExperimentSpec):
 
 def cmd_optimize(args, spec: ExperimentSpec):
     total, mats, cross, ratio = _design_family(spec)
-    n_min = _task(spec, "n_min", int)
-    n_max = _task(spec, "n_max", int)
+    n_min = _task(spec, "n_min", _integer)
+    n_max = _task(spec, "n_max", _integer)
     if n_max - n_min >= MAX_PAIRS:  # refused before the range is walked
-        raise TaskError(f"task.n_max: more than {MAX_PAIRS} pair counts from n_min {n_min}")
+        raise ValidationError("task.n_max", f"more than {MAX_PAIRS} pair counts "
+                                            f"from n_min {n_min}")
     result = optimize_layers(
         total, mats, cross, range(n_min, n_max + 1), spec.csl, spec.quadrature,
         mass_ratio=ratio,
@@ -224,9 +228,11 @@ def cmd_optimize(args, spec: ExperimentSpec):
 
 def cmd_discriminate(args, spec: ExperimentSpec):
     if spec.thermal is None:
-        raise TaskError("the spec needs a thermal block for this command")
+        raise ValidationError("thermal", "required for this command")
     total, mats, cross, ratio = _design_family(spec)
-    pair_counts = _task_list(spec, "designs", int)
+    pair_counts = _task_list(spec, "designs", _integer)
+    if len(pair_counts) < 2:
+        raise ValidationError("task.designs", "need at least two designs to compare")
     designs = [
         design_stack(total, mats[0], mats[1], cross[0], cross[1], n, ratio)
         for n in pair_counts
@@ -247,7 +253,7 @@ def cmd_discriminate(args, spec: ExperimentSpec):
 
 
 def cmd_bound(args, spec: ExperimentSpec):
-    observed = _task(spec, "observed_power")
+    observed = _task(spec, "observed_power", _nonnegative)
     value = lambda_bound(
         observed, spec.mass_model, spec.csl.r_c, spec.quadrature
     )
@@ -269,8 +275,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.add_argument("--csv", action="store_true",
                    help="emit tabular results as CSV")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the spec's Monte-Carlo seed")
+    p.add_argument("--seed", help="override the spec's Monte-Carlo seed")
 
 
 @functools.cache
@@ -288,9 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="explicit wavevector (repeatable)")
     p.add_argument("--axis", choices=["x", "y", "z"], default="x",
                    help="sweep axis (default x)")
-    p.add_argument("--k-min", type=float, help="sweep start [1/m]")
-    p.add_argument("--k-max", type=float, help="sweep end [1/m]")
-    p.add_argument("--num", type=int, help="number of sweep points")
+    p.add_argument("--k-min", help="sweep start [1/m]")
+    p.add_argument("--k-max", help="sweep end [1/m]")
+    p.add_argument("--num", help="number of sweep points")
     p.set_defaults(func=cmd_mu)
 
     p = sub.add_parser("heat", help="total, center-of-mass, and internal rates")
@@ -301,9 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="scan gamma_cm/lambda over r_c")
     _add_common(p)
-    p.add_argument("--rc-min", type=float)
-    p.add_argument("--rc-max", type=float)
-    p.add_argument("--num", type=int)
+    p.add_argument("--rc-min")
+    p.add_argument("--rc-max")
+    p.add_argument("--num")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("optimize",
@@ -341,7 +346,7 @@ def main(argv=None) -> int:
             Path(args.out).write_text(text)
         else:
             sys.stdout.write(text)
-    except (ParseError, ValidationError, TaskError, FileNotFoundError) as exc:
+    except (ParseError, ValidationError, FileNotFoundError) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
     except (InfeasibleDesign, ConstraintViolation) as exc:

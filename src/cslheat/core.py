@@ -25,6 +25,17 @@ Mass-model variants:
 plus an optional "offset": [x,y,z] rigid translation on any variant.
 A material is either an inline {"name", "density"} object or the name of
 a built-in material (see BUILTIN_MATERIALS).
+
+Every value is read and range-checked once, by the reader of its field
+(_number, _integer, _vector3, parse_material): numbers must be finite
+(JSON NaN and Infinity, strings and booleans are refused), mass-model
+numbers, densities, layer thicknesses and csl.r_c > 0, csl.lambda and
+thermal values >= 0, and the quadrature values inside the ranges of
+QuadratureSpec.  Two checks across fields follow: the total mass must be
+finite and > 0, and the total rate must not overflow.  A bad value raises
+ValidationError naming it by its JSON path (csl.lambda,
+mass_model.layers[3].thickness); the CLI reads task keys and flag values
+with the same readers.
 """
 
 from __future__ import annotations
@@ -90,9 +101,9 @@ class QuadratureSpec:
     """Numerical controls; the closed-form rates read only rel_tol.
 
     rel_tol     relative tolerance of the clamp of gamma_int at zero
-                (see heating.heating_report)
+                (see heating.heating_report), in (0, 1e-2)
     u_max       |k| * r_c cutoff of the adaptive-quadrature oracle of the
-                tests (Gaussian tail exp(-u_max^2) is 1.6e-28 at 8)
+                tests (Gaussian tail exp(-u_max^2) is 1.6e-28 at 8), >= 6
     mc_samples  Monte-Carlo sample count, an integer >= 1000 (at most
                 MAX_MC_SAMPLES in a spec)
     rng_seed    seed of the counter-based (Philox) generator, an integer >= 0
@@ -127,17 +138,12 @@ class ParseError(ValueError):
 
 
 class ValidationError(ValueError):
-    """A spec value violates an invariant; `field` names the offender."""
+    """A spec value, task key or flag value is malformed or out of range;
+    `field` names it by its JSON path or flag."""
 
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"{field}: {message}")
-
-
-@dataclass(frozen=True)
-class Violation:
-    field: str
-    message: str
 
 
 def _require_keys(obj: dict, allowed: Collection[str], required: Iterable[str], path: str):
@@ -150,32 +156,40 @@ def _require_keys(obj: dict, allowed: Collection[str], required: Iterable[str], 
             raise ValidationError(f"{path}.{key}", "missing required key")
 
 
-def _finite(val, field: str) -> float:
+# (text, test) pairs: a number read with one of them must pass its test
+_POSITIVE = ("> 0", lambda v: v > 0)
+_NONNEGATIVE = (">= 0", lambda v: v >= 0)
+
+
+def _number(val, field: str, bound: tuple | None = None) -> float:
+    """val as a finite float inside bound, when one is given."""
     try:
         ok = not isinstance(val, bool) and math.isfinite(val)
     except (TypeError, OverflowError):
         ok = False
     if not ok:
         raise ValidationError(field, f"expected a finite number, got {val!r}")
-    return float(val)
+    return _within(float(val), field, bound)
 
 
-def _number(obj: dict, key: str, path: str) -> float:
-    return _finite(obj[key], f"{path}.{key}")
+def _integer(val, field: str, bound: tuple | None = None) -> int:
+    """val as an int inside bound; an integral float counts, an int stays exact."""
+    number = _number(val, field)
+    if not number.is_integer():
+        raise ValidationError(field, f"expected an integer, got {val!r}")
+    return _within(val if isinstance(val, int) else int(number), field, bound)
 
 
-def _integer(obj: dict, key: str, path: str) -> int:
-    val = _number(obj, key, path)
-    if not val.is_integer():
-        raise ValidationError(f"{path}.{key}", f"expected an integer, got {obj[key]!r}")
-    return int(val)
+def _within(value, field: str, bound: tuple | None):
+    if bound is not None and not bound[1](value):
+        raise ValidationError(field, f"must be {bound[0]}, got {value!r}")
+    return value
 
 
-def _vector3(obj: dict, key: str, path: str) -> tuple[float, float, float]:
-    val = obj[key]
+def _vector3(val, field: str) -> tuple[float, float, float]:
     if not isinstance(val, list) or len(val) != 3:
-        raise ValidationError(f"{path}.{key}", "expected a 3-element array")
-    return tuple(_finite(v, f"{path}.{key}") for v in val)
+        raise ValidationError(field, "expected a 3-element array")
+    return tuple(_number(v, field) for v in val)
 
 
 def parse_material(val, path: str = "material") -> Material:
@@ -186,29 +200,28 @@ def parse_material(val, path: str = "material") -> Material:
         return Material(val, BUILTIN_MATERIALS[val])
     if isinstance(val, dict):
         _require_keys(val, ("name", "density"), ("name", "density"), path)
-        return Material(str(val["name"]), _number(val, "density", path))
+        return Material(str(val["name"]), _number(val["density"], f"{path}.density", _POSITIVE))
     raise ValidationError(path, "material must be a name or a {name, density} object")
 
 
-def _read_layers(obj: dict, key: str, path: str) -> tuple[Layer, ...]:
-    raw = obj[key]
+def _read_layers(raw, field: str) -> tuple[Layer, ...]:
     if not isinstance(raw, list) or not raw:
-        raise ValidationError(f"{path}.{key}", "expected a non-empty array")
+        raise ValidationError(field, "expected a non-empty array")
     layers = []
     for i, entry in enumerate(raw):
-        lpath = f"{path}.{key}[{i}]"
+        lpath = f"{field}[{i}]"
         if not isinstance(entry, dict):
             raise ValidationError(lpath, "expected an object")
         _require_keys(entry, _LAYER_KEYS, _LAYER_KEYS, lpath)
         layers.append(Layer(parse_material(entry["material"], f"{lpath}.material"),
-                            _number(entry, "thickness", lpath)))
+                            _number(entry["thickness"], f"{lpath}.thickness", _POSITIVE)))
     return tuple(layers)
 
 
 @functools.cache
 def _spec_fields(cls, extra: tuple[str, ...] = ()):
     """Allowed keys (fields and `extra`), required keys (fields without a
-    default) and (name, read, check, write) per field of cls."""
+    default) and (name, read, write) per field of cls."""
     fs = fields(cls)
     return (frozenset(extra + tuple(f.name for f in fs)),
             tuple(f.name for f in fs if f.default is MISSING),
@@ -221,7 +234,8 @@ def _read_fields(cls, obj, path: str, extra: tuple[str, ...] = ()):
         raise ValidationError(path, "expected an object")
     allowed, required, table = _spec_fields(cls, extra)
     _require_keys(obj, allowed, required, path)
-    return cls(**{name: read(obj, name, path) for name, read, _, _ in table if name in obj})
+    return cls(**{name: read(obj[name], f"{path}.{name}") for name, read, _ in table
+                  if name in obj})
 
 
 def _parse_model(obj, path: str = "mass_model") -> MassModel:
@@ -270,7 +284,8 @@ def loads_spec(text: str) -> ExperimentSpec:
     if not isinstance(csl_obj, dict):
         raise ValidationError("csl", "expected an object")
     _require_keys(csl_obj, ("lambda", "r_c"), ("lambda", "r_c"), "csl")
-    csl = CslParams(_number(csl_obj, "lambda", "csl"), _number(csl_obj, "r_c", "csl"))
+    csl = CslParams(_number(csl_obj["lambda"], "csl.lambda", _NONNEGATIVE),
+                    _number(csl_obj["r_c"], "csl.r_c", _POSITIVE))
 
     model = _parse_model(doc["mass_model"])
 
@@ -284,88 +299,21 @@ def loads_spec(text: str) -> ExperimentSpec:
     if task is not None and not isinstance(task, dict):
         raise ValidationError("task", "expected an object")
 
-    spec = ExperimentSpec(
-        version=SPEC_VERSION,
-        csl=csl,
-        mass_model=model,
-        quadrature=quadrature,
-        thermal=thermal,
-        task=task,
-    )
-    violations = validate_spec(spec)
-    if violations:
-        first = violations[0]
-        raise ValidationError(first.field, first.message)
-    return spec
-
-
-def _check_positive(value, field: str, out: list[Violation]) -> None:
-    if not (value > 0):
-        out.append(Violation(field, f"must be > 0, got {value!r}"))
-
-
-def _check_layers(layers, field: str, out: list[Violation]) -> None:
-    if not layers:
-        out.append(Violation(field, "must have at least one layer"))
-    for i, layer in enumerate(layers):
-        for name, value in (("thickness", layer.thickness),
-                            ("material.density", layer.material.density)):
-            if not (value > 0):
-                out.append(Violation(f"{field}[{i}].{name}", f"must be > 0, got {value!r}"))
-
-
-def _validate_model(model: MassModel, out: list[Violation], path: str = "mass_model"):
-    if not isinstance(model, MassModel):
-        out.append(Violation(path, f"unknown model type {type(model).__name__}"))
-        return
-    for name, _, check, _ in _spec_fields(type(model))[2]:
-        check(getattr(model, name), f"{path}.{name}", out)
+    # every value is in range; a total mass or rate of them can still
+    # overflow, or the mass underflow to 0
     try:
         mass = total_mass(model)
-    except (TypeError, ValueError):
-        out.append(Violation(path, "total mass is not computable"))
-        return
-    if not (0 < mass < math.inf):
-        out.append(Violation(path, f"total mass must be finite and > 0, got {mass!r}"))
+    except OverflowError:  # radius**3 past the largest float
+        mass = math.inf
+    if not 0 < mass < math.inf:
+        raise ValidationError("mass_model", f"total mass must be finite and > 0, got {mass!r}")
+    from .heating import gamma_total  # heating imports this module
 
-
-def validate_spec(spec: ExperimentSpec) -> list[Violation]:
-    """All invariant violations in the spec; empty iff the spec is valid.
-
-    Violations are data, not exceptions: every specs produced by load_spec
-    validates to [].
-    """
-    out: list[Violation] = []
-    if not (spec.csl.lambda_rate >= 0):
-        out.append(Violation("csl.lambda_rate", "must be >= 0"))
-    if not (spec.csl.r_c > 0):
-        out.append(Violation("csl.r_c", "must be > 0"))
-    _validate_model(spec.mass_model, out)
-    if not out:
-        from .heating import gamma_total  # heating imports this module
-
-        mass = total_mass(spec.mass_model)
-        if not math.isfinite(gamma_total(mass, spec.csl)):
-            out.append(Violation("csl", f"the total heating rate of {mass!r} kg overflows "
-                                        f"at lambda {spec.csl.lambda_rate!r}, "
-                                        f"r_c {spec.csl.r_c!r}"))
-    if spec.thermal is not None:
-        if not (spec.thermal.gamma_th >= 0):
-            out.append(Violation("thermal.gamma_th", "must be >= 0"))
-        if not (spec.thermal.temperature >= 0):
-            out.append(Violation("thermal.temperature", "must be >= 0"))
-    q = spec.quadrature
-    if not (0 < q.rel_tol < 1e-2):
-        out.append(Violation("quadrature.rel_tol", "must be in (0, 1e-2)"))
-    if not (q.u_max >= 6):
-        out.append(Violation("quadrature.u_max", "must be >= 6"))
-    if not (q.mc_samples >= 1000):
-        out.append(Violation("quadrature.mc_samples", "must be >= 1000"))
-    elif q.mc_samples > MAX_MC_SAMPLES:
-        out.append(Violation("quadrature.mc_samples", f"must be <= {MAX_MC_SAMPLES}"))
-    if not (q.rng_seed >= 0):
-        out.append(Violation("quadrature.rng_seed", "must be >= 0"))
-    return out
+    if not math.isfinite(gamma_total(mass, csl)):
+        raise ValidationError("csl", f"the total heating rate of {mass!r} kg overflows at "
+                                     f"lambda {csl.lambda_rate!r}, r_c {csl.r_c!r}")
+    return ExperimentSpec(version=SPEC_VERSION, csl=csl, mass_model=model,
+                          quadrature=quadrature, thermal=thermal, task=task)
 
 
 def _material_to_dict(material: Material) -> dict:
@@ -380,27 +328,29 @@ def _layers_to_list(layers) -> list:
 def _fields_to_dict(obj) -> dict:
     """JSON object of a spec dataclass: one key per field."""
     table = _spec_fields(type(obj))[2]
-    return {name: write(getattr(obj, name)) for name, _, _, write in table}
+    return {name: write(getattr(obj, name)) for name, _, write in table}
 
 
-# (read, check, write) of each spec field that is not a positive number:
-# read(obj, key, path) parses the JSON value, check(value, field,
-# violations) validates a mass-model field and write(value) turns it back
-# into JSON; validate_spec checks the quadrature integers
-_NUMBER = (_number, _check_positive, lambda value: value)
-_VECTOR = (_vector3, lambda value, field, out: None, list)
-_INTEGER = (_integer, None, lambda value: value)
+def _scalar(read, bound) -> tuple:
+    return functools.partial(read, bound=bound), lambda value: value
+
+
+# (read, write) of each spec field that is not a positive number:
+# read(value, field) checks the JSON value and write(value) turns the
+# field back into JSON
+_NUMBER = _scalar(_number, _POSITIVE)
 _FIELDS = {
-    "mc_samples": _INTEGER,
-    "rng_seed": _INTEGER,
-    "material": (
-        lambda obj, key, path: parse_material(obj[key], f"{path}.{key}"),
-        lambda m, field, out: _check_positive(m.density, f"{field}.density", out),
-        _material_to_dict,
-    ),
-    "layers": (_read_layers, _check_layers, _layers_to_list),
-    "offset": _VECTOR,
-    "position": _VECTOR,
+    "gamma_th": _scalar(_number, _NONNEGATIVE),
+    "temperature": _scalar(_number, _NONNEGATIVE),
+    "rel_tol": _scalar(_number, ("in (0, 1e-2)", lambda v: 0 < v < 1e-2)),
+    "u_max": _scalar(_number, (">= 6", lambda v: v >= 6)),
+    "mc_samples": _scalar(_integer, (f"in [1000, {MAX_MC_SAMPLES}]",
+                                     lambda v: 1000 <= v <= MAX_MC_SAMPLES)),
+    "rng_seed": _scalar(_integer, _NONNEGATIVE),
+    "material": (parse_material, _material_to_dict),
+    "layers": (_read_layers, _layers_to_list),
+    "offset": (_vector3, list),
+    "position": (_vector3, list),
 }
 
 

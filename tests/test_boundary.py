@@ -1,10 +1,13 @@
 """The spec boundary under malformed input, and the bounds on run time.
 
-The fuzz mutates committed specs one value, key or list entry at a time
-and runs them through cli.main: every outcome must be one of the
+Three derandomized fuzzes run cli.main.  One mutates committed specs one
+value, key or list entry at a time: every outcome must be one of the
 documented exit codes, never a traceback, and a success must print
-strict JSON, or with --csv a rectangular table.  The slow commands
-(heat --mc, lattice-check) are left out.
+strict JSON, or with --csv a rectangular table.  One feeds `heat`
+arbitrary JSON documents built from the spec's own keys, and one puts
+bad values into the flags of `mu`, `scan` and `heat`: both must end in
+0 or 2, never in a compute error.  Every failure leaves stdout empty.
+The slow commands (heat --mc, lattice-check) are left out.
 """
 
 import contextlib
@@ -23,11 +26,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cslheat import dumps_spec, load_spec, loads_spec, validate_spec
+from cslheat import ValidationError, dumps_spec, load_spec, loads_spec
 from cslheat.analysis import MAX_PAIRS, InfeasibleDesign, design_stack
 from cslheat.cli import main
 from cslheat.core import MAX_MC_SAMPLES
-from cslheat.geometry import Material
+from cslheat.geometry import SHAPES, Material
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
@@ -60,6 +63,24 @@ def _refuse_constant(token):
     raise ValueError(f"non-strict JSON token {token}")
 
 
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_clean_exit(code, out, fmt=()):
+    if code == 0 and fmt:
+        header, *rows = csv.reader(io.StringIO(out))
+        assert len(set(header)) == len(header)
+        assert all(len(row) == len(header) for row in rows)
+    elif code == 0:
+        json.loads(out, parse_constant=_refuse_constant)
+    else:
+        assert out == ""
+
+
 # the extreme values overflow numpy on purpose; they must end in an exit code
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
@@ -84,18 +105,101 @@ def test_mutated_specs_exit_cleanly(tmp_path, data):
         target["unknown_key"] = 1.0
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(doc))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, "--spec", str(spec), *EXTRA_ARGS.get(command, []), *fmt])
-    assert code in (0, 2, 3, 4), (command, name, path, action, fmt, err.getvalue())
-    if code == 0 and fmt:
-        header, *rows = csv.reader(io.StringIO(out.getvalue()))
-        assert len(set(header)) == len(header)
-        assert all(len(row) == len(header) for row in rows)
-    elif code == 0:
-        json.loads(out.getvalue(), parse_constant=_refuse_constant)
-    else:
-        assert out.getvalue() == ""
+    code, out, err = _run_main([command, "--spec", str(spec), *EXTRA_ARGS.get(command, []),
+                                *fmt])
+    assert code in (0, 2, 3, 4), (command, name, path, action, fmt, err)
+    _assert_clean_exit(code, out, fmt)
+
+
+# arbitrary JSON, and documents in the shape of a spec whose every value
+# is of the right kind half of the time, else a number of any size or
+# sign (NaN and Infinity included) or arbitrary JSON
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=12,
+)
+
+
+def _value(typed):
+    return st.one_of(typed, typed, typed, st.floats(), st.integers(-1, 10**6), JSON_VALUES)
+
+
+_NUMBERS = _value(st.floats(1e-9, 1e-3))
+_MATERIALS = _value(st.sampled_from(["gold", "unobtainium"])
+                    | st.fixed_dictionaries({"name": st.just("m"), "density": _NUMBERS}))
+_VALUES = {"offset": _value(st.lists(_NUMBERS, min_size=3, max_size=3)),
+           "material": _MATERIALS,
+           "layers": _value(st.lists(st.fixed_dictionaries(
+               {"material": _MATERIALS, "thickness": _NUMBERS}), min_size=1, max_size=3))}
+_VALUES["position"] = _VALUES["offset"]
+
+
+def _objects(*keys, optional=()):
+    return st.fixed_dictionaries({key: _VALUES.get(key, _NUMBERS) for key in keys},
+                                 optional={key: _VALUES.get(key, _NUMBERS) for key in optional})
+
+
+_MASS_MODELS = st.one_of(*(
+    _objects(*(f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING),
+             optional=[f.name for f in dataclasses.fields(cls)
+                       if f.default is not dataclasses.MISSING]
+             ).map(lambda obj, kind=kind: {"type": kind, **obj})
+    for kind, cls in SHAPES.items()
+))
+SPEC_DOCS = JSON_VALUES | st.fixed_dictionaries(
+    {"version": st.just(1), "csl": _objects("lambda", "r_c"), "mass_model": _MASS_MODELS},
+    optional={"thermal": _objects("gamma_th", "temperature"),
+              "quadrature": _objects(optional=("rel_tol", "u_max", "mc_samples", "rng_seed")),
+              "task": JSON_VALUES},
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(doc=SPEC_DOCS)
+def test_arbitrary_json_documents_exit_0_or_2(tmp_path, doc):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))  # NaN and Infinity included
+    code, out, err = _run_main(["heat", "--spec", str(spec)])
+    assert code in (0, 2), (doc, err)
+    _assert_clean_exit(code, out)
+
+
+BAD_FLAG_VALUES = ["nan", "inf", "1e400", "-1", "0", "a", "1,2"]
+# the flags of each command with good values; one at a time gets a bad one
+FLAG_RUNS = {
+    "mu": ("cube_large.json", {"--at": "1e7,2e7,-3e7", "--k-min": "0", "--k-max": "3e7",
+                               "--num": "5", "--seed": "3"}),
+    "scan": ("point.json", {"--rc-min": "1e-8", "--rc-max": "1e-6", "--num": "3",
+                            "--seed": "3"}),
+    "heat": ("point.json", {"--seed": "3"}),
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_bad_flag_values_exit_0_or_2(data):
+    command = data.draw(st.sampled_from(sorted(FLAG_RUNS)))
+    spec, flags = FLAG_RUNS[command]
+    flag = data.draw(st.sampled_from(sorted(flags)))
+    value = data.draw(st.sampled_from(BAD_FLAG_VALUES))
+    if flag == "--at" and data.draw(st.booleans()):
+        parts = flags[flag].split(",")
+        parts[data.draw(st.integers(0, 2))] = value
+        value = ",".join(parts)
+    # --flag=value: argparse would take a separate "-1,2e7,-3e7" for a flag
+    argv = [command, "--spec", str(SPECS / spec),
+            *(f"{name}={value if name == flag else good}" for name, good in flags.items())]
+    code, out, err = _run_main(argv)
+    assert code in (0, 2), (argv, err)
+    if code == 2:
+        assert flag in err, (argv, err)
+    _assert_clean_exit(code, out)
 
 
 def _mutated(tmp_path, name, edit):
@@ -112,7 +216,10 @@ def _mutated(tmp_path, name, edit):
     ("point.json", lambda doc: doc["csl"].update(r_c=1e-320), "csl: "),
     ("stack16.json", lambda doc: doc["mass_model"]["layers"][3].update(thickness=1e308),
      "mass_model: total mass"),
-], ids=["lx", "r_c", "thickness"])
+    # radius**3 raises OverflowError rather than giving inf
+    ("sphere.json", lambda doc: doc["mass_model"].update(radius=1e200),
+     "mass_model: total mass"),
+], ids=["lx", "r_c", "thickness", "radius"])
 def test_extreme_finite_values_exit_2(tmp_path, capsys, name, edit, field):
     # finite inputs whose total mass or total rate overflows are refused
     # before any rate is computed, so numpy never warns
@@ -144,14 +251,16 @@ def test_committed_specs_round_trip(name):
 
 
 def test_mc_samples_cap():
-    spec = load_spec(SPECS / "sphere.json")
+    doc = json.loads((SPECS / "sphere.json").read_text())
 
-    def violations(samples):
-        quad = dataclasses.replace(spec.quadrature, mc_samples=samples)
-        return validate_spec(dataclasses.replace(spec, quadrature=quad))
+    def load(samples):
+        doc["quadrature"] = {"mc_samples": samples}
+        return loads_spec(json.dumps(doc))
 
-    assert violations(MAX_MC_SAMPLES) == []
-    assert [v.field for v in violations(MAX_MC_SAMPLES + 1)] == ["quadrature.mc_samples"]
+    assert load(MAX_MC_SAMPLES).quadrature.mc_samples == MAX_MC_SAMPLES
+    with pytest.raises(ValidationError) as info:
+        load(MAX_MC_SAMPLES + 1)
+    assert info.value.field == "quadrature.mc_samples"
 
 
 def test_mc_samples_above_cap_exits_2(tmp_path, capsys):
@@ -174,6 +283,22 @@ def test_optimize_range_cap_exits_2(tmp_path, capsys, n_min, n_max):
                     lambda doc: doc["task"].update(n_min=n_min, n_max=n_max))
     assert main(["optimize", "--spec", str(path)]) == 2
     assert "task.n_max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, task", [
+    ("optimize", {"ly": 1e-320}),  # the area underflows to 0
+    ("optimize", {"lx": 1e-20, "ly": 1e-300}),  # the mass per area overflows
+    ("optimize", {"total_mass": 1e300, "lx": 1e-10, "ly": 1e-10}),  # infinite layers
+    ("discriminate", {"total_mass": 1e300, "lx": 1e-10, "ly": 1e-10}),
+], ids=["area", "mass_per_area", "thickness", "discriminate"])
+def test_degenerate_design_exits_4(tmp_path, capsys, command, task):
+    path = _mutated(tmp_path, f"{command}.json", lambda doc: doc["task"].update(task))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--spec", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("infeasible design: ")
 
 
 def test_discriminate_pair_cap_exits_4(tmp_path, capsys):

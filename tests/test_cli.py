@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -232,6 +235,15 @@ def _run_edited(tmp_path, capsys, spec_file, edit, *argv):
          "task.mass_ratio"),
         ("discriminate", "discriminate.json", {"designs": [1, "Infinity"]},
          "task.designs[1]"),
+        ("discriminate", "discriminate.json", {"designs": [1]}, "task.designs"),
+        ("discriminate", "discriminate.json", {"designs": []}, "task.designs"),
+        ("bound", "bound.json", {"observed_power": -1.0}, "task.observed_power"),
+        ("scan", "scan.json", {"observed_power": -1.0}, "task.observed_power"),
+        ("scan", "point.json", {"rc_min": 0.0, "rc_max": 1e-6, "num": 3}, "task.rc_min"),
+        ("scan", "point.json", {"rc_min": 1e-8, "rc_max": 1e-6, "num": 0}, "task.num"),
+        ("scan", "point.json", {"rc_grid": [1e-6, 1e-7]}, "task.rc_grid"),
+        ("optimize", "optimize.json", {"material_a": {"name": "x", "density": 0.0}},
+         "task.material_a.density"),
     ],
 )
 def test_exit_2_on_bad_task_number(tmp_path, capsys, command, spec_file, task, field):
@@ -282,14 +294,70 @@ def test_exit_2_on_missing_task(tmp_path, capsys):
     assert "task.observed_power" in err
 
 
-def test_exit_3_on_compute_error(tmp_path, capsys):
-    doc = json.loads((SPECS / "bound.json").read_text())
-    doc["task"]["observed_power"] = -1.0
-    path = tmp_path / "neg.json"
-    path.write_text(json.dumps(doc))
-    code, _, err = run(capsys, "bound", "--spec", str(path))
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("mu", "point.json", "--at", "nan,0,0"), "--at"),
+        (("mu", "point.json", "--at", "1e400,0,0"), "--at"),
+        (("mu", "point.json", "--at", "a,0,0"), "--at"),
+        (("mu", "point.json", "--at", "1,2"), "--at"),
+        (("mu", "point.json", "--k-min", "0", "--k-max", "nan", "--num", "3"), "--k-max"),
+        (("mu", "point.json", "--k-min", "0", "--k-max", "1e7", "--num", "-3"), "--num"),
+        (("mu", "point.json", "--k-min", "0", "--num", "3"), "--num"),
+        (("scan", "point.json", "--rc-min", "1e-8", "--rc-max", "1e-6", "--num", "-2"),
+         "--num"),
+        (("scan", "point.json", "--rc-min", "0", "--rc-max", "1e-6", "--num", "2"),
+         "--rc-min"),
+        (("scan", "point.json", "--rc-min", "1e-6", "--rc-max", "1e-8", "--num", "2"),
+         "--rc-min"),
+        (("scan", "point.json", "--rc-min", "1e-320", "--rc-max", "1e-319", "--num", "2"),
+         "--rc-min"),
+        (("scan", "point.json", "--rc-min", "1e-8"), "--rc-min"),
+        (("heat", "point.json", "--seed", "1.5"), "--seed"),
+        (("heat", "point.json", "--seed", "a"), "--seed"),
+    ],
+)
+def test_exit_2_on_bad_flag_value(capsys, argv, field):
+    command, spec, *rest = argv
+    code, out, err = run(capsys, command, "--spec", str(SPECS / spec), *rest)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"spec error: {field}: ")
+
+
+def test_flag_values_read_as_numbers(capsys):
+    # integral floats count as counts and seeds; an integer seed stays exact
+    code, out, _ = run(capsys, "mu", "--spec", str(SPECS / "point.json"),
+                       "--k-min", "0", "--k-max", "1e7", "--num", "2.0")
+    assert code == 0
+    assert [row["kx"] for row in json.loads(out)["result"]["rows"]] == [0.0, 1e7]
+    seed = str(2**53 + 1)
+    code, out, _ = run(capsys, "heat", "--spec", str(SPECS / "point.json"), "--seed", seed)
+    assert code == 0
+    assert json.loads(out)["quadrature"]["rng_seed"] == 2**53 + 1
+
+
+def test_process_exit_code_is_mains(capsys):
+    argv = ["mu", "--spec", str(SPECS / "point.json"), "--at", "nan,0,0"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SPECS.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "cslheat.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (main(argv), "") == (2, "")
+    assert proc.stderr == capsys.readouterr().err
+
+
+def test_exit_3_on_compute_error(capsys, monkeypatch):
+    from cslheat import cli
+
+    def fail(*args):
+        raise ArithmeticError("gamma_cm exceeds gamma_total")
+
+    monkeypatch.setattr(cli, "heating_report", fail)
+    code, out, err = run(capsys, "heat", "--spec", str(SPECS / "point.json"))
     assert code == 3
-    assert "compute error" in err
+    assert out == ""
+    assert err == "compute error: gamma_cm exceeds gamma_total\n"
 
 
 def test_exit_4_on_infeasible_design(tmp_path, capsys):

@@ -9,17 +9,14 @@ from cslheat import (
     CONSTANTS,
     CslParams,
     Cuboid,
-    ExperimentSpec,
     LayeredStack,
     ParseError,
-    PointMass,
     QuadratureSpec,
     ValidationError,
     dumps_spec,
     load_spec,
     loads_spec,
     spec_hash,
-    validate_spec,
 )
 from cslheat.core import canonical_spec_json, with_seed
 
@@ -60,7 +57,6 @@ class TestLoadSpec:
             rel_tol=1e-9, u_max=8.0, mc_samples=200_000, rng_seed=0
         )
         assert spec.thermal is None
-        assert validate_spec(spec) == []
 
     def test_default_fill_partial_quadrature(self, tmp_path):
         doc = dict(MINIMAL, quadrature={"mc_samples": 5000})
@@ -152,45 +148,58 @@ class TestLoadSpec:
 
 
 class TestValidateSpec:
-    def _spec(self, **overrides):
-        base = dict(
-            version=1,
-            csl=CslParams(1e-16, 1e-7),
-            mass_model=Cuboid(1e-3, 1e-3, 1e-3, material=load_spec_material()),
-            quadrature=QuadratureSpec(),
-        )
-        base.update(overrides)
-        return ExperimentSpec(**base)
+    """Each value is range-checked as it is read: one bad field per document."""
+
+    @staticmethod
+    def _field(edit):
+        doc = json.loads(json.dumps(MINIMAL))
+        edit(doc)
+        with pytest.raises(ValidationError) as info:
+            loads_spec(json.dumps(doc))
+        return info.value.field
 
     def test_valid_spec_empty(self):
-        assert validate_spec(self._spec()) == []
+        assert loads_spec(json.dumps(MINIMAL)).csl == CslParams(1e-16, 1e-7)
 
     def test_negative_lambda(self):
-        violations = validate_spec(self._spec(csl=CslParams(-1.0, 1e-7)))
-        assert [v.field for v in violations] == ["csl.lambda_rate"]
+        assert self._field(lambda doc: doc["csl"].update({"lambda": -1.0})) == "csl.lambda"
 
     def test_bad_quadrature(self):
-        violations = validate_spec(
-            self._spec(quadrature=QuadratureSpec(rel_tol=0.5, u_max=2.0,
-                                                 mc_samples=10, rng_seed=-1))
-        )
-        fields = {v.field for v in violations}
-        assert fields == {
-            "quadrature.rel_tol",
-            "quadrature.u_max",
-            "quadrature.mc_samples",
-            "quadrature.rng_seed",
-        }
+        for key, value in (("rel_tol", 0.5), ("u_max", 2.0), ("mc_samples", 10),
+                           ("rng_seed", -1)):
+            field = self._field(lambda doc: doc.update(quadrature={key: value}))
+            assert field == f"quadrature.{key}"
 
     def test_point_mass_zero(self):
-        violations = validate_spec(self._spec(mass_model=PointMass(0.0)))
-        assert any(v.field == "mass_model.mass" for v in violations)
+        field = self._field(lambda doc: doc.update(mass_model={"type": "point", "mass": 0.0}))
+        assert field == "mass_model.mass"
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: doc["mass_model"]["material"].update(density=0.0),
+         "mass_model.material.density"),
+        (lambda doc: doc.update(thermal={"gamma_th": -1e-3, "temperature": 0.1}),
+         "thermal.gamma_th"),
+        (lambda doc: doc.update(thermal={"gamma_th": 1e-3, "temperature": -0.1}),
+         "thermal.temperature"),
+        (lambda doc: doc.update(quadrature={"rel_tol": 1e-2}), "quadrature.rel_tol"),
+        (lambda doc: doc.update(quadrature={"rng_seed": 0.5}), "quadrature.rng_seed"),
+        (lambda doc: doc.update(mass_model={"type": "layered_stack", "lx": 1e-6, "ly": 1e-6,
+                                            "layers": [{"material": "gold", "thickness": -1e-7}]}),
+         "mass_model.layers[0].thickness"),
+    ], ids=["density", "gamma_th", "temperature", "rel_tol", "rng_seed", "thickness"])
+    def test_out_of_range_field_named(self, edit, field):
+        assert self._field(edit) == field
 
-def load_spec_material():
-    from cslheat import Material
+    def test_zero_lambda_and_thermal_accepted(self):
+        doc = dict(MINIMAL, csl={"lambda": 0.0, "r_c": 1e-7},
+                   thermal={"gamma_th": 0.0, "temperature": 0.0})
+        spec = loads_spec(json.dumps(doc))
+        assert spec.csl.lambda_rate == 0.0 and spec.thermal.temperature == 0.0
 
-    return Material("silicon", 2329.0)
+    def test_integer_stays_exact(self):
+        seed = 2**53 + 1  # not a double
+        doc = dict(MINIMAL, quadrature={"rng_seed": seed})
+        assert loads_spec(json.dumps(doc)).quadrature.rng_seed == seed
 
 
 class TestRoundTrip:
@@ -241,5 +250,4 @@ def test_shipped_specs_load_and_validate():
     paths = sorted(spec_dir.glob("*.json"))
     assert paths, "no sample specs found"
     for path in paths:
-        spec = load_spec(path)
-        assert validate_spec(spec) == [], path.name
+        assert load_spec(path).version == 1, path.name

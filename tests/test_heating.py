@@ -277,3 +277,15 @@ class TestSplitting:
         g2 = gamma_cm(cube, CslParams(3.5e-12, R_C), QUAD).value
         assert g2 == pytest.approx(3.5e-12 * g1, rel=1e-12, abs=0)
 
+
+    def test_gamma_int_clamp(self, monkeypatch):
+        # gamma_cm above gamma_total within rel_tol is rounding, clamped to
+        # zero; beyond it raises
+        sphere = Sphere(2 * R_C, SILICON)
+        monkeypatch.setattr(Sphere, "shape_integral", lambda self, r_c: I3_FREE * (1 + 1e-12))
+        rep = heating_report(sphere, CSL, QUAD)
+        assert rep.internal_clamped is True
+        assert rep.gamma_int == 0.0
+        monkeypatch.setattr(Sphere, "shape_integral", lambda self, r_c: I3_FREE * (1 + 1e-6))
+        with pytest.raises(ArithmeticError, match="exceeds gamma_total"):
+            heating_report(sphere, CSL, QUAD)
