@@ -4,9 +4,9 @@ Three derandomized fuzzes run cli.main.  One mutates committed specs one
 value, key or list entry at a time: every outcome must be one of the
 documented exit codes, never a traceback, and a success must print
 strict JSON, or with --csv a rectangular table.  One feeds `heat`
-arbitrary JSON documents built from the spec's own keys, and one puts
-bad values into the flags of `mu`, `scan` and `heat`: both must end in
-0 or 2, never in a compute error.  Every failure leaves stdout empty.
+arbitrary JSON documents and documents in the shape of a spec, and one
+puts bad values into the flags of `mu`, `scan` and `heat`: both must end
+in 0 or 2, never in a compute error.  Every failure leaves stdout empty.
 The slow commands (heat --mc, lattice-check) are left out.
 """
 
