@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from .core import CONSTANTS, CONSTANTS_VERSION, CslParams, QuadratureSpec, ThermalModel
+from .core import _check_body
 from .geometry import Layer, LayeredStack, MassModel, Material
 from .heating import gamma_cm, heating_report
 
@@ -323,11 +324,12 @@ def scan_rc(
         raise ValueError("rc_grid values must be > 0")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("rc_grid must be strictly increasing")
+    # the rate per lambda and every extent over r_c are largest at the
+    # smallest r_c: if they pass the body checks there, they pass everywhere
+    _check_body(model, CslParams(1.0, grid[0]))
     rows = []
     for rc in grid:
         report = heating_report(model, CslParams(1.0, rc), quad)
-        if not math.isfinite(report.gamma_total):
-            raise ValueError(f"the rate per lambda overflows at r_c {rc!r}")
         bound = None
         if observed_power is not None:
             bound = _bound_from_denominator(observed_power, report.gamma_cm)

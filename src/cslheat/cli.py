@@ -44,6 +44,7 @@ from .core import (
     ExperimentSpec,
     ParseError,
     ValidationError,
+    _check_body,
     _fields_to_dict,
     _integer,
     _number,
@@ -186,8 +187,8 @@ def cmd_scan(args, spec: ExperimentSpec):
         raise ValidationError("task", "needs rc_grid or (rc_min, rc_max, num), "
                                       "or pass --rc-min/--rc-max/--num")
     observed = _task(spec, "observed_power", _nonnegative) if "observed_power" in task else None
-    # scan_rc refuses an empty, non-positive or unsorted grid and one whose
-    # rate per lambda overflows
+    # scan_rc refuses an empty, non-positive or unsorted grid and one at
+    # whose smallest r_c the rate per lambda or an extent over r_c overflows
     try:
         table = scan_rc(
             spec.mass_model,
@@ -212,6 +213,15 @@ def _design_family(spec: ExperimentSpec):
     return total, (mat_a, mat_b), (lx, ly), ratio
 
 
+def _check_design(spec: ExperimentSpec, design) -> None:
+    """The checks across fields that loads_spec makes of a spec's body,
+    made of a task design; a failure names the task."""
+    try:
+        _check_body(design.to_mass_model(), spec.csl)
+    except ValidationError as exc:
+        raise ValidationError("task", f"the {design.n_pairs}-pair design fails {exc}") from None
+
+
 def cmd_optimize(args, spec: ExperimentSpec):
     total, mats, cross, ratio = _design_family(spec)
     n_min = _task(spec, "n_min", _integer)
@@ -219,6 +229,9 @@ def cmd_optimize(args, spec: ExperimentSpec):
     if n_max - n_min >= MAX_PAIRS:  # refused before the range is walked
         raise ValidationError("task.n_max", f"more than {MAX_PAIRS} pair counts "
                                             f"from n_min {n_min}")
+    # the designs share their total mass (so their total rate), height and
+    # cross-section: the first one checked stands for all
+    _check_design(spec, design_stack(total, *mats, *cross, n_min, ratio))
     result = optimize_layers(
         total, mats, cross, range(n_min, n_max + 1), spec.csl, spec.quadrature,
         mass_ratio=ratio,
@@ -237,6 +250,8 @@ def cmd_discriminate(args, spec: ExperimentSpec):
         design_stack(total, mats[0], mats[1], cross[0], cross[1], n, ratio)
         for n in pair_counts
     ]
+    for design in designs:
+        _check_design(spec, design)
     threshold = _task(spec, "threshold", default=0.1)
     report = discriminability_report(
         designs, spec.csl, spec.thermal, spec.quadrature, threshold=threshold

@@ -31,8 +31,9 @@ Every value is read and range-checked once, by the reader of its field
 (JSON NaN and Infinity, strings and booleans are refused), mass-model
 numbers, densities, layer thicknesses and csl.r_c > 0, csl.lambda and
 thermal values >= 0, and the quadrature values inside the ranges of
-QuadratureSpec.  Two checks across fields follow: the total mass must be
-finite and > 0, and the total rate must not overflow.  A bad value raises
+QuadratureSpec.  The checks across fields follow: the total mass must be
+finite and > 0, the total rate and the thermal power must not overflow,
+and no extent of the body may exceed MAX_EXTENT_RC r_c.  A bad value raises
 ValidationError naming it by its JSON path (csl.lambda,
 mass_model.layers[3].thickness); the CLI reads task keys and flag values
 with the same readers.
@@ -86,6 +87,11 @@ _LAYER_KEYS = ("material", "thickness")
 # Monte-Carlo runs in time linear in the samples (0.25-0.32 s CPU per 2e5
 # samples of a stack): the cap keeps a spec's heat --mc to about 15 s
 MAX_MC_SAMPLES = 10_000_000
+# the closed-form rates square extent / r_c (sphere) and sum it over every
+# pair of layer edges (special._pair_sums); below this bound neither can
+# overflow at any layer count a spec can hold (a stack 1.6e301 m high at
+# r_c = 1e-7 m gave NaN rates)
+MAX_EXTENT_RC = 1e150
 
 
 @dataclass(frozen=True)
@@ -292,6 +298,12 @@ def loads_spec(text: str) -> ExperimentSpec:
     thermal = None
     if doc.get("thermal") is not None:
         thermal = _read_fields(ThermalModel, doc["thermal"], "thermal")
+        # in the order of analysis.thermal_gain, which computes it
+        power = thermal.gamma_th * CONSTANTS.k_boltzmann * thermal.temperature
+        if not math.isfinite(power):
+            raise ValidationError("thermal", f"the thermal power gamma_th k_B T overflows at "
+                                             f"gamma_th {thermal.gamma_th!r}, temperature "
+                                             f"{thermal.temperature!r}")
 
     quadrature = _read_fields(QuadratureSpec, doc.get("quadrature") or {}, "quadrature")
 
@@ -299,8 +311,17 @@ def loads_spec(text: str) -> ExperimentSpec:
     if task is not None and not isinstance(task, dict):
         raise ValidationError("task", "expected an object")
 
-    # every value is in range; a total mass or rate of them can still
-    # overflow, or the mass underflow to 0
+    _check_body(model, csl)
+    return ExperimentSpec(version=SPEC_VERSION, csl=csl, mass_model=model,
+                          quadrature=quadrature, thermal=thermal, task=task)
+
+
+def _check_body(model: MassModel, csl: CslParams) -> None:
+    """The checks across the fields of a body at csl.
+
+    Every value is in range, yet the total mass can overflow or underflow
+    to 0, and the total rate or an extent over r_c can overflow.
+    """
     try:
         mass = total_mass(model)
     except OverflowError:  # radius**3 past the largest float
@@ -312,8 +333,11 @@ def loads_spec(text: str) -> ExperimentSpec:
     if not math.isfinite(gamma_total(mass, csl)):
         raise ValidationError("csl", f"the total heating rate of {mass!r} kg overflows at "
                                      f"lambda {csl.lambda_rate!r}, r_c {csl.r_c!r}")
-    return ExperimentSpec(version=SPEC_VERSION, csl=csl, mass_model=model,
-                          quadrature=quadrature, thermal=thermal, task=task)
+    for field, extent in zip(model.extent_fields, model.extents):
+        if not extent / csl.r_c <= MAX_EXTENT_RC:
+            raise ValidationError(f"mass_model.{field}",
+                                  f"an extent of {extent!r} m is more than "
+                                  f"{MAX_EXTENT_RC:g} r_c at r_c {csl.r_c!r}")
 
 
 def _material_to_dict(material: Material) -> dict:

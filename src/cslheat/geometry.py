@@ -21,7 +21,8 @@ exp(-i k . offset).
 The shape contract: a new shape is one MassModel class here, listed in
 SHAPES.  Its dataclass fields are its spec fields (core reads, validates
 and writes them by walking the fields), and it defines its spec `kind`,
-`total_mass`, `extents`, `_centred_mu` (the form factor of the body
+`total_mass`, `extents` (with `extent_fields`, the spec field that sets
+each extent), `_centred_mu` (the form factor of the body
 centred at the origin), `shape_integral` (the closed-form I3(r_c) of
 heating) and `inside` (the cell-centre test of the lattice fill).
 Cuboids and stacks derive from _Box, which builds the product form of
@@ -66,6 +67,7 @@ class MassModel:
     """Base of the shape classes: applies the offset phase once."""
 
     kind: ClassVar[str]
+    extent_fields: ClassVar[tuple[str, ...]]
     separable: ClassVar[bool] = False  # form factor = product over x, y, z
 
     def mu(self, k: np.ndarray) -> np.ndarray:
@@ -80,6 +82,7 @@ class PointMass(MassModel):
     offset: tuple[float, float, float] = _ORIGIN
     kind = "point"
     extents = (0.0, 0.0, 0.0)
+    extent_fields = ()  # nothing to check: a point has no extent
 
     @property
     def total_mass(self) -> float:
@@ -127,6 +130,7 @@ class Cuboid(_Box):
     material: Material
     offset: tuple[float, float, float] = _ORIGIN
     kind = "cuboid"
+    extent_fields = ("lx", "ly", "lz")
 
     @property
     def total_mass(self) -> float:
@@ -150,6 +154,7 @@ class Sphere(MassModel):
     material: Material
     offset: tuple[float, float, float] = _ORIGIN
     kind = "sphere"
+    extent_fields = ("radius",) * 3
 
     @property
     def total_mass(self) -> float:
@@ -180,6 +185,7 @@ class Cylinder(MassModel):
     material: Material
     offset: tuple[float, float, float] = _ORIGIN
     kind = "cylinder"
+    extent_fields = ("radius", "radius", "height")
 
     @property
     def total_mass(self) -> float:
@@ -213,6 +219,7 @@ class LayeredStack(_Box):
     layers: tuple[Layer, ...]
     offset: tuple[float, float, float] = _ORIGIN
     kind = "layered_stack"
+    extent_fields = ("lx", "ly", "layers")
 
     @property
     def height(self) -> float:

@@ -10,6 +10,12 @@ takes exactly one of its two branches.
 The moment kernels _profile_ab (1D layered profile), _disc_ab (disc) and
 _sphere_reduction (ball) are the pieces of each shape's closed-form I3 in
 geometry (see heating); each turns to a series where it would cancel.
+
+scipy.special, which costs more to import than the rest of the package
+with numpy, is imported on first use and only by the three branches that
+call it: erf in the direct (non-series) branch of _pair_sums, i0e/i1e in
+the direct branch of _disc_ab, and j1 in two_j1_over_x.  Series profiles,
+spheres, point masses and the disc series never load it.
 """
 
 from __future__ import annotations
@@ -17,8 +23,6 @@ from __future__ import annotations
 from math import exp, factorial, fsum, pi, sqrt
 
 import numpy as np
-from scipy.special import erf, i0e, i1e
-from scipy.special import j1 as _bessel_j1
 
 # 3 (sin x - x cos x)/x^3 = sum_m c_m x^(2m), c_m = 3 (-1)^m (2m+2)/(2m+3)!.
 # The direct form loses ~ 3*eps/x^2 relative accuracy to cancellation, so
@@ -95,8 +99,10 @@ def two_j1_over_x(x):
     of polynomials in x^2 below 5).  Equals 1 at x = 0, first zero at
     the first zero of J1 (x = 3.8317059702...).
     """
+    from scipy.special import j1
+
     x = np.asarray(x, dtype=float)
-    return _ratio_or_one(2.0 * _bessel_j1(x), x)
+    return _ratio_or_one(2.0 * j1(x), x)
 
 
 def _pair_sums(z: np.ndarray, c: np.ndarray, series: bool) -> tuple[float, float]:
@@ -111,6 +117,8 @@ def _pair_sums(z: np.ndarray, c: np.ndarray, series: bool) -> tuple[float, float
             ka = d4 * np.polynomial.polynomial.polyval(d2, _PHI_SERIES)
             kb = d4 * np.polynomial.polynomial.polyval(d2, _G_SERIES)
         else:
+            from scipy.special import erf
+
             kb = np.exp(-0.25 * d * d)
             ka = _RT_PI * d * erf(0.5 * d) + 2.0 * kb
         sum_a += float(c[i : i + step] @ ka @ c)
@@ -157,6 +165,8 @@ def _disc_ab(s: float) -> tuple[float, float]:
             float(np.polynomial.polynomial.polyval(s2, _A_PERP_SERIES)),
             float(np.polynomial.polynomial.polyval(s2, _B_PERP_SERIES)),
         )
+    from scipy.special import i0e, i1e
+
     x = 0.5 * s * s
     i1 = float(i1e(x))
     return 2.0 * (1.0 - float(i0e(x)) - i1) / s / s, 2.0 * i1 / s / s

@@ -1,13 +1,15 @@
 """The spec boundary under malformed input, and the bounds on run time.
 
-Three derandomized fuzzes run cli.main.  One mutates committed specs one
+Derandomized fuzzes run cli.main.  One mutates committed specs one
 value, key or list entry at a time: every outcome must be one of the
 documented exit codes, never a traceback, and a success must print
 strict JSON, or with --csv a rectangular table.  One feeds `heat`
 arbitrary JSON documents and documents in the shape of a spec, and one
 puts bad values into the flags of `mu`, `scan` and `heat`: both must end
-in 0 or 2, never in a compute error.  Every failure leaves stdout empty.
-The slow commands (heat --mc, lattice-check) are left out.
+in 0 or 2, never in a compute error.  Every failure leaves stdout empty,
+except the failing report of lattice-check.  The slow commands, heat --mc
+(on specs cut to 1,000 samples) and lattice-check, get their own
+mutation fuzzes with few examples.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,8 +32,9 @@ from hypothesis import strategies as st
 from cslheat import ValidationError, dumps_spec, load_spec, loads_spec
 from cslheat.analysis import MAX_PAIRS, InfeasibleDesign, design_stack
 from cslheat.cli import main
-from cslheat.core import MAX_MC_SAMPLES
+from cslheat.core import MAX_EXTENT_RC, MAX_MC_SAMPLES
 from cslheat.geometry import SHAPES, Material
+from cslheat.heating import heating_report
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
@@ -93,7 +97,17 @@ def test_mutated_specs_exit_cleanly(tmp_path, data):
     fmt = ["--csv"] if command != "bound" and data.draw(st.booleans()) else []
     name = TASK_SPECS.get(command) or data.draw(st.sampled_from(SPEC_FILES))
     doc = json.loads((SPECS / name).read_text())
-    path = data.draw(st.sampled_from(_paths(doc)))
+    spec, mutation = _mutate(tmp_path, data, doc)
+    code, out, err = _run_main([command, "--spec", str(spec), *EXTRA_ARGS.get(command, []),
+                                *fmt])
+    assert code in (0, 2, 3, 4), (command, name, *mutation, fmt, err)
+    _assert_clean_exit(code, out, fmt)
+
+
+def _mutate(tmp_path, data, doc, paths=None):
+    """Write doc with one value replaced by a bad one, one key deleted or
+    one unknown key added, at one of paths (by default every path)."""
+    path = data.draw(st.sampled_from(paths or _paths(doc)))
     parent, key = _at(doc, path[:-1]), path[-1]
     action = data.draw(st.sampled_from(["replace", "delete", "add"]))
     if action == "replace":
@@ -105,10 +119,47 @@ def test_mutated_specs_exit_cleanly(tmp_path, data):
         target["unknown_key"] = 1.0
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(doc))
-    code, out, err = _run_main([command, "--spec", str(spec), *EXTRA_ARGS.get(command, []),
-                                *fmt])
-    assert code in (0, 2, 3, 4), (command, name, path, action, fmt, err)
-    _assert_clean_exit(code, out, fmt)
+    return spec, (path, action)
+
+
+# mutating the sample count or its object could fall back to the default
+# 200,000 samples (about 0.3 s a run), which test_mc_samples_cap and the
+# readers' tests cover; every other path is mutated
+_MC_FIXED = {("quadrature",), ("quadrature", "mc_samples")}
+
+
+def _mutated_slow_run(tmp_path, data, argv):
+    name = data.draw(st.sampled_from(SPEC_FILES))
+    doc = json.loads((SPECS / name).read_text())
+    doc["quadrature"] = {**doc.get("quadrature", {}), "mc_samples": 1000}
+    spec, mutation = _mutate(tmp_path, data, doc,
+                             [p for p in _paths(doc) if p not in _MC_FIXED])
+    code, out, err = _run_main([argv[0], "--spec", str(spec), *argv[1:]])
+    assert code in (0, 2, 3, 4), (argv, name, *mutation, err)
+    if argv[0] == "lattice-check" and code == 3 and out:
+        # a failing lattice-check report is written, then exits 3
+        assert not json.loads(out, parse_constant=_refuse_constant)["result"]["all_passed"]
+    else:
+        _assert_clean_exit(code, out)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_specs_exit_cleanly_heat_mc(tmp_path, data):
+    _mutated_slow_run(tmp_path, data, ["heat", "--mc"])
+
+
+# lattice-check takes about 0.1 s a run, whatever the spec
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_specs_exit_cleanly_lattice_check(tmp_path, data):
+    _mutated_slow_run(tmp_path, data, ["lattice-check"])
 
 
 # arbitrary JSON, and documents in the shape of a spec whose every value
@@ -232,6 +283,77 @@ def test_extreme_finite_values_exit_2(tmp_path, capsys, name, edit, field):
     assert out == ""
     assert err.startswith(f"spec error: {field}")
     assert len(err.splitlines()) == 1
+
+
+def _huge_stack(doc):
+    # 16 layers of 1e300 m are 1.6e308 r_c high, just below the float range
+    doc["mass_model"].update(lx=1e-160, ly=1e-160)
+    for layer in doc["mass_model"]["layers"]:
+        layer["thickness"] = 1e300
+
+
+def _huge_designs(doc):
+    doc["csl"]["lambda"] = 1e10
+    doc["task"].update(total_mass=1e300, lx=1e100, ly=1e100, n_min=1, n_max=2)
+
+
+@pytest.mark.parametrize("argv, name, edit, field", [
+    (["heat"], "stack16.json", _huge_stack, "mass_model.layers: "),
+    # the total rate of every design overflows
+    (["optimize"], "optimize.json", _huge_designs, "task: "),
+    (["discriminate"], "discriminate.json", _huge_designs, "task: "),
+    # the designs are 2.2e303 m high, 2.2e310 r_c, at a finite total rate
+    (["optimize"], "optimize.json",
+     lambda doc: doc["task"].update(total_mass=1e300, lx=1e-3, ly=1e-3), "task: "),
+    (["discriminate"], "discriminate.json",
+     lambda doc: doc["thermal"].update(gamma_th=1e300, temperature=1e300), "thermal: "),
+    # a body 1e140 m long is 1e310 r_c at the smallest r_c of the grid
+    (["scan", "--rc-min", "1e-170", "--rc-max", "1e-169", "--num", "2"], "cube_large.json",
+     lambda doc: doc["mass_model"].update(lx=1e-160, ly=1e-160, lz=1e140),
+     "--rc-min: mass_model.lz: "),
+], ids=["stack_height", "optimize_rate", "discriminate_rate", "optimize_height",
+        "thermal_power", "scan_extent"])
+def test_overflowing_products_exit_2(tmp_path, capsys, argv, name, edit, field):
+    # every value is finite, but a height over r_c, a design's total rate
+    # or gamma_th k_B T overflows: refused before any of it is computed
+    path = _mutated(tmp_path, name, edit)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([argv[0], "--spec", str(path), *argv[1:]]) == 2
+    assert caught == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"spec error: {field}")
+
+
+R_C_TINY = 1e-140  # keeps a sphere of 5e149 r_c radius of finite mass
+
+
+@pytest.mark.parametrize("model, field", [
+    (lambda e: {"type": "cuboid", "lx": 1e-100, "ly": 1e-100, "lz": e, "material": "gold"},
+     "lz"),
+    (lambda e: {"type": "sphere", "radius": e / 2, "material": "gold"}, "radius"),
+    (lambda e: {"type": "cylinder", "radius": 1e-100, "height": e, "material": "gold"},
+     "height"),
+    (lambda e: {"type": "layered_stack", "lx": 1e-100, "ly": 1e-100, "layers": [
+        {"material": "gold", "thickness": e / 3}, {"material": "silicon", "thickness": e / 3},
+        {"material": "gold", "thickness": e / 3}]}, "layers"),
+], ids=["cuboid", "sphere", "cylinder", "layered_stack"])
+def test_extent_bound(model, field):
+    # an extent of MAX_EXTENT_RC r_c gives finite rates without a warning;
+    # a little more is refused, naming the field that sets it
+    def load(extent):
+        return loads_spec(json.dumps({"version": 1, "csl": {"lambda": 1e-100, "r_c": R_C_TINY},
+                                      "mass_model": model(extent)}))
+
+    spec = load(0.999 * MAX_EXTENT_RC * R_C_TINY)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = heating_report(spec.mass_model, spec.csl, spec.quadrature)
+    assert all(math.isfinite(v) for v in (report.gamma_cm, report.gamma_int))
+    with pytest.raises(ValidationError) as info:
+        load(1.01 * MAX_EXTENT_RC * R_C_TINY)
+    assert info.value.field == f"mass_model.{field}"
 
 
 def test_mass_model_type_of_any_json_kind_exits_2(tmp_path, capsys):

@@ -347,6 +347,37 @@ def test_process_exit_code_is_mains(capsys):
     assert proc.stderr == capsys.readouterr().err
 
 
+def test_common_commands_do_not_load_scipy(tmp_path):
+    # scipy.special is imported by the direct branches of the profile and
+    # disc kernels and by the disc form factor only; these runs take none
+    # of them.  sys.modules, unlike -X importtime output, is the
+    # interpreter's own record of what was imported.
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"version": 1, "csl": {"lambda": -1, "r_c": 1e-7}}')
+    runs = [
+        (["heat", "--spec", str(SPECS / "point.json")], 0),
+        (["heat", "--spec", str(SPECS / "cube_small.json")], 0),
+        (["heat", "--spec", str(SPECS / "sphere.json")], 0),
+        (["bound", "--spec", str(SPECS / "bound.json")], 0),
+        (["mu", "--spec", str(SPECS / "stack16.json"), "--at", "1e7,0,2e7"], 0),
+        (["lattice-check", "--spec", str(SPECS / "point.json")], 0),
+        (["heat", "--spec", str(bad)], 2),
+    ]
+    script = ("import contextlib, io, json, sys\n"
+              "from cslheat.cli import main\n"
+              "codes = []\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+              "            contextlib.redirect_stderr(io.StringIO()):\n"
+              "        codes.append(main(argv))\n"
+              "print(json.dumps([codes, 'scipy.special' in sys.modules]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SPECS.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps([a for a, _ in runs])],
+                          env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(proc.stdout) == [[code for _, code in runs], False]
+
+
 def test_exit_3_on_compute_error(capsys, monkeypatch):
     from cslheat import cli
 
