@@ -19,15 +19,12 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
-from .core import CONSTANTS, CONSTANTS_VERSION, CslParams, QuadratureSpec, ThermalModel
-from .core import _check_body
+from .core import CONSTANTS, CONSTANTS_VERSION, MAX_PAIRS, CslParams, QuadratureSpec
+from .core import ThermalModel, _check_body
 from .geometry import Layer, LayeredStack, MassModel, Material
 from .heating import gamma_cm, heating_report
 
-
-# a design's pair sums take O(pairs^2) time (about 1 s at 2,000 pairs) and
-# its layer tuple O(pairs) memory; 10^8 pairs would not fit in memory
-MAX_PAIRS = 10_000
+_TIE_REL = 1e-9  # see optimize_layers
 
 
 class InfeasibleDesign(ValueError):
@@ -199,13 +196,12 @@ def optimize_layers(
     csl: CslParams,
     quad: QuadratureSpec,
     mass_ratio: float = 1.0,
-    tie_rel: float = 1e-9,
 ) -> OptimizeResult:
     """Exhaustive argmax of gamma_cm over alternating-stack pair counts.
 
     Every candidate satisfies the same fixed-mass and fixed-mass-ratio
     constraints; only the layer count (hence the layer thicknesses)
-    varies.  Improvements below tie_rel (relative) do not displace an
+    varies.  Improvements below _TIE_REL (relative) do not displace an
     earlier candidate, so exact ties resolve toward fewer layers.
     """
     counts = sorted(set(int(n) for n in n_layers_range))
@@ -220,7 +216,7 @@ def optimize_layers(
         design = design_stack(total_mass_kg, mat_a, mat_b, lx, ly, n, mass_ratio)
         g = gamma_cm(design.to_mass_model(), csl, quad).value
         evaluations.append((n, g))
-        if g > best_gamma * (1.0 + tie_rel) or best_design is None:
+        if g > best_gamma * (1.0 + _TIE_REL) or best_design is None:
             best_design, best_gamma = design, g
     return OptimizeResult(best_design, best_gamma, tuple(evaluations))
 

@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    MAX_PAIRS,
     ConstraintViolation,
     InfeasibleDesign,
     design_stack,
@@ -41,6 +40,7 @@ from .core import (
     _NONNEGATIVE,
     _POSITIVE,
     CONSTANTS_VERSION,
+    MAX_PAIRS,
     ExperimentSpec,
     ParseError,
     ValidationError,
@@ -55,7 +55,7 @@ from .core import (
 )
 from .geometry import normalized_form_factor
 from .heating import gamma_cm_mc, heating_report
-from .lattice import TooManySites, lattice_check
+from .lattice import LATTICE_CHECK_RC, TooManySites, lattice_check
 
 
 # readers of the bounded task keys and flag values; the rest read any
@@ -130,26 +130,30 @@ def _csv(rows: list[dict]) -> str:
 
 
 def cmd_mu(args, spec: ExperimentSpec):
-    points = []
+    points, flags = [], []  # each wavevector and the flag that set it
     for item in args.at or ():
         parts = item.split(",")
         if len(parts) != 3:
             raise ValidationError("--at", f"expected kx,ky,kz, got {item!r}")
         points.append([_flag(p, "--at") for p in parts])
+        flags.append("--at")
     if args.num is not None:
         if args.k_min is None or args.k_max is None:
             raise ValidationError("--num", "requires --k-min and --k-max")
         axis = {"x": 0, "y": 1, "z": 2}[args.axis]
-        sweep = np.linspace(_flag(args.k_min, "--k-min"), _flag(args.k_max, "--k-max"),
-                            _flag(args.num, "--num", _count))
-        for val in sweep:
-            point = [0.0, 0.0, 0.0]
-            point[axis] = float(val)
-            points.append(point)
+        k_min, k_max = _flag(args.k_min, "--k-min"), _flag(args.k_max, "--k-max")
+        sweep = np.linspace(k_min, k_max, _flag(args.num, "--num", _count))
+        points += [[float(v) if i == axis else 0.0 for i in range(3)] for v in sweep]
+        flags += ["--k-max" if abs(k_max) >= abs(k_min) else "--k-min"] * len(sweep)
     if not points:
         raise ValidationError("--at", "provide --at kx,ky,kz and/or a sweep "
                                       "(--axis, --k-min, --k-max, --num)")
-    f = normalized_form_factor(spec.mass_model, np.asarray(points, dtype=float))
+    with np.errstate(all="ignore"):
+        f = normalized_form_factor(spec.mass_model, np.asarray(points, dtype=float))
+    for point, flag, v in zip(points, flags, f):
+        if not np.isfinite(v):  # a phase or kernel argument overflowed
+            raise ValidationError(flag, f"the form factor at k = {point} overflows (k times "
+                                        f"the body's position, offset or size, or |k|^2)")
     rows = [
         {"kx": kx, "ky": ky, "kz": kz, "re": float(v.real), "im": float(v.imag),
          "abs_norm": float(abs(v))}
@@ -282,7 +286,11 @@ def cmd_bound(args, spec: ExperimentSpec):
 
 
 def cmd_lattice_check(args, spec: ExperimentSpec):
-    return lattice_check(seed=spec.quadrature.rng_seed, r_c=spec.csl.r_c), None
+    (lo, hi), r_c = LATTICE_CHECK_RC, spec.csl.r_c
+    if not lo <= r_c <= hi:
+        raise ValidationError("csl.r_c", f"lattice-check needs r_c in [{lo:.4g}, {hi:.4g}] m "
+                                         f"(its probe rates are normal floats), got {r_c!r}")
+    return lattice_check(seed=spec.quadrature.rng_seed, r_c=r_c), None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

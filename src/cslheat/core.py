@@ -30,10 +30,11 @@ Every value is read and range-checked once, by the reader of its field
 (_number, _integer, _vector3, parse_material): numbers must be finite
 (JSON NaN and Infinity, strings and booleans are refused), mass-model
 numbers, densities, layer thicknesses and csl.r_c > 0, csl.lambda and
-thermal values >= 0, and the quadrature values inside the ranges of
-QuadratureSpec.  The checks across fields follow: the total mass must be
-finite and > 0, the total rate and the thermal power must not overflow,
-and no extent of the body may exceed MAX_EXTENT_RC r_c.  A bad value raises
+thermal values >= 0, a stack at most 2 MAX_PAIRS layers, and the
+quadrature values inside the ranges of QuadratureSpec.  The checks across
+fields follow: the total mass must be finite and > 0, the total rate and
+the thermal power must not overflow, and no extent of the body may
+exceed MAX_EXTENT_RC r_c.  A bad value raises
 ValidationError naming it by its JSON path (csl.lambda,
 mass_model.layers[3].thickness); the CLI reads task keys and flag values
 with the same readers.
@@ -84,6 +85,10 @@ BUILTIN_MATERIALS = {
 SPEC_VERSION = 1
 
 _LAYER_KEYS = ("material", "thickness")
+# pair sums take O(layers^2) time (special._pair_sums): at most MAX_PAIRS
+# layer pairs in a design and 2 MAX_PAIRS layers in a spec stack, where
+# `heat` took 36 s (series branch, height < 2 r_c) and 14 s on 2 cores
+MAX_PAIRS = 10_000
 # Monte-Carlo runs in time linear in the samples (0.25-0.32 s CPU per 2e5
 # samples of a stack): the cap keeps a spec's heat --mc to about 15 s
 MAX_MC_SAMPLES = 10_000_000
@@ -213,6 +218,8 @@ def parse_material(val, path: str = "material") -> Material:
 def _read_layers(raw, field: str) -> tuple[Layer, ...]:
     if not isinstance(raw, list) or not raw:
         raise ValidationError(field, "expected a non-empty array")
+    if len(raw) > 2 * MAX_PAIRS:
+        raise ValidationError(field, f"at most {2 * MAX_PAIRS} layers, got {len(raw)}")
     layers = []
     for i, entry in enumerate(raw):
         lpath = f"{field}[{i}]"

@@ -22,20 +22,28 @@ The shape contract: a new shape is one MassModel class here, listed in
 SHAPES.  Its dataclass fields are its spec fields (core reads, validates
 and writes them by walking the fields), and it defines its spec `kind`,
 `total_mass`, `extents` (with `extent_fields`, the spec field that sets
-each extent), `_centred_mu` (the form factor of the body
-centred at the origin), `shape_integral` (the closed-form I3(r_c) of
-heating) and `inside` (the cell-centre test of the lattice fill).
-Cuboids and stacks derive from _Box, which builds the product form of
-I3, the per-axis factors and the box test from their z profile (layer
-widths and densities) and z factor.  The point mass, a single lattice
-site, overrides mu and needs no inside.
+each extent), `factors`, `i3_scale` and `inside` (the cell-centre test
+of the lattice fill).  `factors` are the independent Factors of the
+normalized form factor of the centred body, in x, y, z order: lines
+(d = 1) of one wavevector component, a disc (d = 2) or ball (d = 3) of
+the radius of theirs.  A cuboid or stack has three lines, a cylinder a
+disc and a line, a sphere a ball, a point mass a ball with |f| = 1.
+I3 of heating is one formula over their Gaussian moments, A_f of |f|^2
+and B_f of u^2 |f|^2 (u = r_c k): sum_f B_f prod_(g != f) A_g (_i3).
+shape_integral feeds it each factor's closed-form `moments` from the
+special kernels, scaled by `i3_scale`; the Monte Carlo of heating feeds
+it sampled ones.  Cuboids and stacks derive from _Box, which builds
+their extents and box test from their z profile (layer widths and
+densities).  A stack overrides _centred_mu, a point mass (a single
+lattice site) mu, and it needs no inside.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from math import pi
-from typing import ClassVar
+from math import nan, pi, prod
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -63,16 +71,55 @@ class Layer:
     thickness: float
 
 
+class Factor(NamedTuple):
+    """One independent factor of the normalized form factor of the centred body."""
+
+    dim: int  # 1 line, 2 disc, 3 ball
+    form: Callable  # of the component (line) or radius (disc, ball) in 1/m
+    moments: Callable  # of r_c: closed-form (A, B), normalized as the kernel gives them
+
+
+def _segment(length: float) -> Factor:
+    """A uniform line of the given length."""
+    return Factor(1, lambda k: sinc(0.5 * k * length),
+                  lambda r_c: _profile_ab([length / r_c], [1.0]))
+
+
+def _i3(moments, scale: float = 1.0) -> float:
+    """scale * sum_f B_f prod_(g != f) A_g over the factors' (A_f, B_f),
+    each sum and product in factor order (b_x a_y a_z + a_x b_y a_z + ...).
+    Linear in each (A_f, B_f): that pair set to (0, 1) gives dI3/dB_f, to
+    (1, 0) dI3/dA_f."""
+    total = 0.0
+    for f in range(len(moments)):
+        total += prod(b if g == f else a for g, (a, b) in enumerate(moments))
+    return scale * total
+
+
 class MassModel:
-    """Base of the shape classes: applies the offset phase once."""
+    """Base of the shape classes: applies the offset phase once and forms
+    the closed-form shape integral from the factors' moments."""
 
     kind: ClassVar[str]
     extent_fields: ClassVar[tuple[str, ...]]
     separable: ClassVar[bool] = False  # form factor = product over x, y, z
+    i3_scale: ClassVar[float] = 1.0
 
     def mu(self, k: np.ndarray) -> np.ndarray:
         """mu_tilde at the wavevectors k of shape (..., 3), offset included."""
         return _translated(self._centred_mu(k[..., 0], k[..., 1], k[..., 2]), k, self.offset)
+
+    def _centred_mu(self, kx, ky, kz):
+        """The mass times the factors, each of its component or radius."""
+        comps, out = iter((kx, ky, kz)), 1.0
+        for factor in self.factors:
+            ks = [next(comps) for _ in range(factor.dim)]
+            out = out * factor.form(ks[0] if len(ks) == 1 else np.sqrt(sum(k * k for k in ks)))
+        return self.total_mass * out
+
+    def shape_integral(self, r_c: float) -> float:
+        """I3(r_c) of heating, closed form: _i3 of the factors' moments."""
+        return _i3([factor.moments(r_c) for factor in self.factors], self.i3_scale)
 
 
 @dataclass(frozen=True)
@@ -83,6 +130,8 @@ class PointMass(MassModel):
     kind = "point"
     extents = (0.0, 0.0, 0.0)
     extent_fields = ()  # nothing to check: a point has no extent
+    factors = (Factor(3, lambda k: 1.0, lambda r_c: (nan, 1.0)),)
+    i3_scale = I3_FREE
 
     @property
     def total_mass(self) -> float:
@@ -91,9 +140,6 @@ class PointMass(MassModel):
     def mu(self, k: np.ndarray) -> np.ndarray:
         pos = np.asarray(self.position, dtype=float) + np.asarray(self.offset, dtype=float)
         return self.mass * np.exp(-1j * (k @ pos))
-
-    def shape_integral(self, r_c: float) -> float:
-        return I3_FREE
 
 
 class _Box(MassModel):
@@ -104,17 +150,6 @@ class _Box(MassModel):
     @property
     def extents(self) -> tuple[float, float, float]:
         return (self.lx, self.ly, sum(self.z_profile()[0]))
-
-    def axis_factor(self, axis: int, k):
-        """1D factor along x, y or z (0, 1, 2) of the centred normalized form factor."""
-        return self.z_factor(k) if axis == 2 else sinc(0.5 * k * (self.lx, self.ly)[axis])
-
-    def shape_integral(self, r_c: float) -> float:
-        widths, densities = self.z_profile()
-        a_x, b_x = _profile_ab([self.lx / r_c], [1.0])
-        a_y, b_y = _profile_ab([self.ly / r_c], [1.0])
-        a_z, b_z = _profile_ab([w / r_c for w in widths], densities)
-        return b_x * a_y * a_z + a_x * b_y * a_z + a_x * a_y * b_z
 
     def inside(self, x, y, z):
         ext = self.extents
@@ -136,16 +171,12 @@ class Cuboid(_Box):
     def total_mass(self) -> float:
         return self.material.density * self.lx * self.ly * self.lz
 
-    def _centred_mu(self, kx, ky, kz):
-        return self.total_mass * (
-            sinc(0.5 * kx * self.lx) * sinc(0.5 * ky * self.ly) * sinc(0.5 * kz * self.lz)
-        )
-
     def z_profile(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         return (self.lz,), (self.material.density,)
 
-    def z_factor(self, kz):
-        return sinc(0.5 * kz * self.lz)
+    @property
+    def factors(self) -> tuple[Factor, Factor, Factor]:
+        return _segment(self.lx), _segment(self.ly), _segment(self.lz)
 
 
 @dataclass(frozen=True)
@@ -155,6 +186,7 @@ class Sphere(MassModel):
     offset: tuple[float, float, float] = _ORIGIN
     kind = "sphere"
     extent_fields = ("radius",) * 3
+    i3_scale = I3_FREE
 
     @property
     def total_mass(self) -> float:
@@ -164,13 +196,10 @@ class Sphere(MassModel):
     def extents(self) -> tuple[float, float, float]:
         return (2.0 * self.radius,) * 3
 
-    def _centred_mu(self, kx, ky, kz):
-        return self.total_mass * sphere_form_kernel(
-            np.sqrt(kx * kx + ky * ky + kz * kz) * self.radius
-        )
-
-    def shape_integral(self, r_c: float) -> float:
-        return I3_FREE * _sphere_reduction(self.radius / r_c)
+    @property
+    def factors(self) -> tuple[Factor]:
+        return (Factor(3, lambda k: sphere_form_kernel(k * self.radius),
+                       lambda r_c: (nan, _sphere_reduction(self.radius / r_c))),)
 
     def inside(self, x, y, z):
         return x * x + y * y + z * z <= self.radius**2
@@ -186,6 +215,7 @@ class Cylinder(MassModel):
     offset: tuple[float, float, float] = _ORIGIN
     kind = "cylinder"
     extent_fields = ("radius", "radius", "height")
+    i3_scale = 2.0 * pi  # _disc_ab gives radial moments, without the azimuth
 
     @property
     def total_mass(self) -> float:
@@ -195,16 +225,10 @@ class Cylinder(MassModel):
     def extents(self) -> tuple[float, float, float]:
         return (2.0 * self.radius, 2.0 * self.radius, self.height)
 
-    def _centred_mu(self, kx, ky, kz):
-        kperp = np.sqrt(kx * kx + ky * ky)
-        return self.total_mass * (
-            two_j1_over_x(kperp * self.radius) * sinc(0.5 * kz * self.height)
-        )
-
-    def shape_integral(self, r_c: float) -> float:
-        a_perp, b_perp = _disc_ab(self.radius / r_c)
-        a_z, b_z = _profile_ab([self.height / r_c], [1.0])
-        return 2.0 * pi * (b_perp * a_z + a_perp * b_z)
+    @property
+    def factors(self) -> tuple[Factor, Factor]:
+        return (Factor(2, lambda k: two_j1_over_x(k * self.radius),
+                       lambda r_c: _disc_ab(self.radius / r_c)), _segment(self.height))
 
     def inside(self, x, y, z):
         return (x**2 + y**2 <= self.radius**2) & (np.abs(z) <= 0.5 * self.height)
@@ -259,8 +283,12 @@ class LayeredStack(_Box):
             tuple(layer.material.density for layer in self.layers),
         )
 
-    def z_factor(self, kz):
-        return self._z_sum(kz) / self._area_density()
+    @property
+    def factors(self) -> tuple[Factor, Factor, Factor]:
+        widths, densities = self.z_profile()
+        return _segment(self.lx), _segment(self.ly), Factor(
+            1, lambda kz: self._z_sum(kz) / self._area_density(),
+            lambda r_c: _profile_ab([w / r_c for w in widths], densities))
 
 
 SHAPES = {cls.kind: cls for cls in (PointMass, Cuboid, Sphere, Cylinder, LayeredStack)}
@@ -327,5 +355,5 @@ def separable_factors(model: MassModel, axis: str, k_axis):
             f"{type(model).__name__} does not factorize over Cartesian axes"
         )
     k = np.asarray(k_axis, dtype=float)
-    out = _translated(model.axis_factor(ax, k), k, model.offset[ax])
+    out = _translated(model.factors[ax].form(k), k, model.offset[ax])
     return out if out.ndim else complex(out)

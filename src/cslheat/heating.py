@@ -18,40 +18,38 @@ The ratio I3 / I3_FREE is the reduction factor; it depends only on the
 shape ratios (extent / r_c).
 
 Each shape has one production route to I3, its shape_integral in
-geometry, a closed form: the continuum limit of the pairwise lattice sum
-E_pairs[(1 - D^2/6) exp(-D^2/4)].  A point mass has reduction 1 and a
-ball of radius s r_c 6 [(s^2 - 2) + (s^2 + 2) e^(-s^2)] / s^6.  Cuboids
-and stacks factorize, I3 = sum_i B_i prod_(j != i) A_j over the axes,
-with A and B the 1D moments of each axis' layered density profile
-(special._profile_ab); cylinders combine the one-layer axial profile with
-Bessel-function transverse moments (special._disc_ab).  Each form turns
-to a Taylor series where its direct expression would cancel; the tests
-hold all of them to REL_ERROR against mpmath.  Adaptive quadrature, the
+geometry: I3 = sum_f B_f prod_(g != f) A_g over the factors of its form
+factor, fed the closed-form Gaussian moments of the special kernels, the
+continuum limit of the pairwise lattice sum E_pairs[(1 - D^2/6)
+exp(-D^2/4)].  A point mass has reduction 1, a ball of radius s r_c
+6 [(s^2 - 2) + (s^2 + 2) e^(-s^2)] / s^6; line profiles and discs take
+the moments of special._profile_ab and special._disc_ab.  Each turns to
+a Taylor series where its direct expression would cancel; the tests hold
+all of them to REL_ERROR against mpmath.  Adaptive quadrature, the
 lattice and Monte Carlo are oracles only.
 
-The seeded Monte-Carlo estimator (gamma_cm_mc) importance-samples the
-same integral from the Gaussian weight with numpy's counter-based Philox
-generator and a fixed draw order, so it is bit-identical for a seed.
-Offsets drop out of |mu_tilde|^2, and blocks of samples (together one
-draw) merge by Chan's update, so memory is flat in mc_samples.
+The seeded Monte-Carlo estimator (gamma_cm_mc) feeds the same formula
+sampled moments, drawn with numpy's counter-based Philox generator in a
+fixed order, so it is bit-identical for a seed; blocks of samples merge
+by Chan's update, so memory is flat in mc_samples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import partial
-from math import pi, sqrt
+from dataclasses import dataclass
+from math import nan, pi, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import CONSTANTS, CslParams, QuadratureSpec
-from .geometry import I3_FREE, MassModel, mu_tilde, separable_factors, total_mass
+from .geometry import I3_FREE, MassModel, _i3, total_mass
 
 # relative accuracy of the closed forms for extent / r_c in [1e-6, 1e5]
 # and stacks of up to 256 layers, enforced against mpmath by the tests
 REL_ERROR = 1e-12
 _MC_BLOCK = 1 << 14  # Monte-Carlo samples per block: temporaries stay in L2
+_GAUSS_3D = pi**1.5  # integral of exp(-u^2) over R^3: I3 over _i3 of the sampled means
 
 
 class PowerEstimate(NamedTuple):
@@ -97,96 +95,52 @@ def gamma_cm_mc(
 ) -> PowerEstimate:
     """Monte-Carlo center-of-mass heating rate [W] with standard error.
 
-    Importance-samples wavevectors from the normalized Gaussian weight
-    (pi^(3/2)/r_c^3) and averages k^2 |mu_tilde(k)|^2 of the centred body
-    (the offset phase has modulus 1).  Deterministic for a fixed seed: one
-    Philox stream, a fixed draw order, and a fixed reduction order, so
-    results are bit-identical across runs.  Blocks of _MC_BLOCK samples,
-    together one draw, merge by Chan's update: memory is flat in samples.
-
-    For separable bodies (cuboid, layered stack) the estimator samples
-    each wavevector component from its 1D Gaussian factor and estimates
-    the exact per-axis factorization of the integral instead of the raw
-    3D average.  The two estimators target the same integral with the
-    same Gaussian proposal, but the 3D form is useless for extreme aspect
-    ratios: for a 1mm x 1mm x 10um plate at r_c = 1e-7 m the dominant
-    contribution lives where *both* transverse components fall inside
-    sinc lobes of relative width ~1e-4, a corner that 3D sampling hits
-    with probability ~5e-7 per sample, silently biasing both the mean and
-    the reported standard error.  The per-axis estimator hits each lobe
-    marginally and keeps honest statistics.
+    Per factor of the body, in order, draws u ~ N(0, I_d / 2) and averages
+    A = |f(k)|^2 and B = u^2 |f(k)|^2 at k = |u| / r_c over the same draws,
+    keeping their covariance (a lone factor needs B alone).  The means go
+    through the closed forms' formula, I3 = pi^(3/2) _i3(means), and the
+    error through its exact partials (delta method).  No phase or offset
+    enters.  Sampling factor by factor avoids the 3D corner where the sinc
+    lobes of two plate axes meet (probability ~5e-7 per sample for a 1 mm
+    plate at r_c = 1e-7 m), but a factor whose central lobe is far
+    narrower than r_c is still missed: a 1 mm disc comes out low by tens
+    of standard errors.
     """
     if quad.mc_samples < 1000:
         raise ValueError(f"mc_samples must be >= 1000, got {quad.mc_samples}")
     rng = np.random.Generator(np.random.Philox(quad.rng_seed))
-    centred = replace(model, offset=(0.0, 0.0, 0.0))
-    if model.separable:
-        return _mc_separable(centred, csl, quad, rng)
-    return _mc_generic(centred, csl, quad, rng)
+    both = len(model.factors) > 1
+    stats = [_mc_moments(rng, f, csl.r_c, quad.mc_samples, both) for f in model.factors]
+    means = [tuple(mean.tolist()) if both else (nan, float(mean[0])) for mean, _ in stats]
+    var = 0.0
+    for f, (_, cov) in enumerate(stats):
+        # the partials by the estimated moments: (A_f, B_f), or B_f alone
+        units = ((1.0, 0.0), (0.0, 1.0))[-len(cov):]
+        grad = np.array([_i3([unit if g == f else m for g, m in enumerate(means)], _GAUSS_3D)
+                         for unit in units])
+        var += float((np.outer(grad, grad) * cov).sum())  # no BLAS: fixed bits
+    pref = gamma_total(total_mass(model), csl) / I3_FREE
+    return PowerEstimate(pref * _i3(means, _GAUSS_3D), pref * sqrt(var))
 
 
-def _abs2(z) -> np.ndarray:
-    z = np.asarray(z)
-    return z.real**2 + z.imag**2
-
-
-def _mc_mean_stderr(draw, f, n: int) -> tuple[float, float]:
-    """Mean and standard error of f(draw(m)) over n samples, in blocks."""
+def _mc_moments(rng, factor, r_c: float, n: int, both: bool):
+    """Means of A = |f|^2 and B = u^2 |f|^2 (B alone unless both) over n
+    draws of one factor, and the covariance matrix of those means."""
     count, mean, m2 = 0, 0.0, 0.0
     for start in range(0, n, _MC_BLOCK):
-        g = f(draw(min(_MC_BLOCK, n - start)))
-        block_mean = float(np.mean(g))
-        block_m2 = float(np.square(g - block_mean).sum())
-        # Chan's update; a running sum of squares would cancel
-        delta, total = block_mean - mean, count + len(g)
-        mean += delta * (len(g) / total)
-        m2 += block_m2 + delta * delta * count * len(g) / total
+        u = rng.normal(0.0, sqrt(0.5), (min(_MC_BLOCK, n - start), factor.dim))
+        u2 = np.einsum("ij,ij->i", u, u)
+        f = factor.form(np.sqrt(u2) / r_c)  # |f| is even: |u| serves a line too
+        f2 = f.real**2 + f.imag**2
+        rows = np.stack((f2, u2 * f2)) if both else (u2 * f2)[None]
+        m, block_mean = len(u2), rows.mean(axis=1)
+        dev = rows - block_mean[:, None]
+        # Chan's update of means and co-moments; running sums would cancel
+        delta, total = block_mean - mean, count + m
+        mean += delta * (m / total)
+        m2 += (dev[:, None] * dev).sum(axis=2) + np.outer(delta, delta) * (count * m / total)
         count = total
-    return mean, sqrt(m2 / (n - 1) / n)
-
-
-def _mc_generic(model, csl, quad, rng) -> PowerEstimate:
-    sigma = 1.0 / (sqrt(2.0) * csl.r_c)
-    mean, stderr = _mc_mean_stderr(
-        lambda m: rng.normal(0.0, sigma, size=(m, 3)),
-        lambda k: np.einsum("ij,ij->i", k, k) * _abs2(mu_tilde(model, k)),
-        quad.mc_samples,
-    )
-    c = CONSTANTS
-    pref = (
-        csl.lambda_rate
-        * c.hbar**2
-        / (2.0 * total_mass(model) * c.m_nucleon**2)
-    )
-    return PowerEstimate(pref * mean, pref * stderr)
-
-
-def _mc_separable(model, csl, quad, rng) -> PowerEstimate:
-    # A_j = sqrt(pi) E[|f_j|^2], B_j = sqrt(pi) E[u^2 |f_j|^2] under the 1D
-    # Gaussian u ~ N(0, 1/2); each of the six estimates gets its own batch
-    # so they are independent and the delta-method error propagation is
-    # exact to first order.
-    n = quad.mc_samples
-    rt_pi = sqrt(pi)
-    est: dict[str, tuple[float, float, float, float]] = {}
-    draw = partial(rng.normal, 0.0, sqrt(0.5))
-    for axis in "xyz":
-
-        def fa(u, axis=axis):
-            return _abs2(separable_factors(model, axis, u / csl.r_c))
-
-        a_val, a_se = _mc_mean_stderr(draw, fa, n)
-        b_val, b_se = _mc_mean_stderr(draw, lambda u: u * u * fa(u), n)
-        est[axis] = (rt_pi * a_val, rt_pi * a_se, rt_pi * b_val, rt_pi * b_se)
-    i3 = var = 0.0
-    for ax in "xyz":
-        j, l = [o for o in "xyz" if o != ax]
-        i3 += est[ax][2] * est[j][0] * est[l][0]
-        d_a = est[j][2] * est[l][0] + est[l][2] * est[j][0]  # dI3/dA_ax
-        d_b = est[j][0] * est[l][0]  # dI3/dB_ax
-        var += (d_a * est[ax][1]) ** 2 + (d_b * est[ax][3]) ** 2
-    pref = gamma_total(total_mass(model), csl) / I3_FREE
-    return PowerEstimate(pref * i3, pref * sqrt(var))
+    return mean, m2 / (n - 1) / n
 
 
 def gamma_internal(

@@ -32,8 +32,9 @@ by one overall factor so the lattice mass matches the model exactly.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from math import ceil, fsum
+from math import ceil, fsum, sqrt
 
 import numpy as np
 
@@ -42,13 +43,23 @@ from .geometry import Cuboid, MassModel, Material, NotSeparable, PointMass
 from .geometry import extents, mu_tilde, total_mass
 from .heating import gamma_total
 
-DEFAULT_SITE_CAP = 100_000_000
+SITE_CAP = 100_000_000  # candidate sites of build_lattice: 0.8 GB per coordinate
+PAIR_CAP = 2**28  # site pairs of gamma_cm_discrete
 # pair-phase Gaussian exp(-D^2/4) with the (3/2 - D^2/4) polynomial is
 # below 1e-16 relative for D > 14
 _PAIR_BAND_D = 16.0
 # pair entries (site phases) per block of gamma_cm_discrete (mu_tilde_discrete):
 # the work buffers stay in cache; pair blocks of 2^20 entries ran 1.4-2x slower
 _PAIR_BLOCK = 1 << 16
+
+
+# lattice_check's probe: a cube of side 2 r_c, mass M = 8 rho r_c^3, on
+# 12^3 sites (pitch r_c / 6).  Its pair sum multiplies two site masses of
+# M / 12^3 and adds up to 3/2 M^2: its rate is a normal float only for r_c
+# in LATTICE_CHECK_RC (m), 0 below and overflowing above.
+_PROBE = Material("probe", 2329.0)
+LATTICE_CHECK_RC = tuple((mass / (8.0 * _PROBE.density)) ** (1.0 / 3.0) for mass in
+                         (12**3 * sqrt(sys.float_info.min), sqrt(sys.float_info.max / 1.5)))
 
 
 class TooManySites(RuntimeError):
@@ -77,15 +88,13 @@ def _axis_centers(center: float, extent: float, d: float) -> np.ndarray:
     return center + (np.arange(n) - 0.5 * (n - 1)) * d
 
 
-def build_lattice(
-    model: MassModel, spacing: float, site_cap: int = DEFAULT_SITE_CAP
-) -> Lattice:
+def build_lattice(model: MassModel, spacing: float) -> Lattice:
     """Fill the body with a simple-cubic grid of pitch `spacing`.
 
     Cell centers inside the body become sites with mass density * d^3,
     then all masses are rescaled by one factor so the total equals
-    total_mass(model) exactly.  Raises TooManySites when the candidate
-    grid would exceed site_cap.
+    total_mass(model) exactly.  Raises TooManySites, before allocating
+    the grid, when it would exceed SITE_CAP candidate sites.
     """
     if not spacing > 0:
         raise ValueError(f"spacing must be > 0, got {spacing}")
@@ -105,9 +114,9 @@ def build_lattice(
     center = np.asarray(model.offset, dtype=float)
     axes = [_axis_centers(center[i], ext[i], spacing) for i in range(3)]
     n_total = len(axes[0]) * len(axes[1]) * len(axes[2])
-    if n_total > site_cap:
+    if n_total > SITE_CAP:
         raise TooManySites(
-            f"grid of {n_total} candidate sites exceeds the cap {site_cap}"
+            f"grid of {n_total} candidate sites exceeds the cap {SITE_CAP}"
         )
     x, y, z = np.ix_(*(a - c for a, c in zip(axes, center)))
     inside = model.inside(x, y, z)
@@ -187,18 +196,17 @@ def gamma_total_discrete(lat: Lattice, csl: CslParams) -> float:
     return gamma_total(lat.total_mass, csl)
 
 
-def gamma_cm_discrete(
-    lat: Lattice, csl: CslParams, max_pairs: int = 2**28
-) -> float:
+def gamma_cm_discrete(lat: Lattice, csl: CslParams) -> float:
     """Center-of-mass heating rate [W] by the exact pairwise Gaussian sum.
 
     O(N^2) time over site pairs, taken in row blocks of _PAIR_BLOCK pair
     entries, so memory is bounded per block and does not grow with N^2;
     use gamma_cm_discrete_separable for fine lattices of separable bodies.
+    Raises TooManySites, before any work, beyond PAIR_CAP site pairs.
     """
     m, n = lat.masses, len(lat.masses)
-    if n * n > max_pairs:
-        raise TooManySites(f"{n}^2 site pairs exceed the cap {max_pairs}")
+    if n * n > PAIR_CAP:
+        raise TooManySites(f"{n}^2 site pairs exceed the cap {PAIR_CAP}")
     # summed per-axis differences, not |x|^2 + |y|^2 - 2 x.y, which cancels
     # for bodies much larger than r_c; centered before scaling, so rounding
     # scales with the body size, not with its distance from the origin
@@ -384,8 +392,7 @@ def lattice_check(seed: int = 0, r_c: float = 1e-7) -> dict:
     )
 
     # discrete -> continuum convergence, O(d^2)
-    mat = Material("probe", 2329.0)
-    cube = Cuboid(2 * r_c, 2 * r_c, 2 * r_c, mat)
+    cube = Cuboid(2 * r_c, 2 * r_c, 2 * r_c, _PROBE)
     direction = rng.normal(0.0, 1.0, 3)
     kvec = direction / np.linalg.norm(direction) / r_c
     mass = total_mass(cube)
@@ -415,10 +422,9 @@ def lattice_check(seed: int = 0, r_c: float = 1e-7) -> dict:
     checks.append({"name": "total_rate_identity", "passed": bool(same)})
 
     # pairwise gamma_cm: direct O(N^2) sum vs factorized marginals
-    small = Cuboid(2 * r_c, 2 * r_c, 2 * r_c, mat)
-    lat_small = build_lattice(small, r_c / 6.0)
+    lat_small = build_lattice(cube, r_c / 6.0)
     g_full = gamma_cm_discrete(lat_small, csl)
-    g_marg = gamma_cm_discrete_separable(small, csl, r_c / 6.0)
+    g_marg = gamma_cm_discrete_separable(cube, csl, r_c / 6.0)
     rel = abs(g_full - g_marg) / g_full
     checks.append(
         {

@@ -17,9 +17,11 @@ candidate site masked by N x 3 coordinate tests, and the pair sum from
 the full (N, N, 3) difference tensor.  mu_tilde_site_matrix is the site
 sum from one full (N, M) phase matrix.
 
-gamma_cm_mc_oneshot is the Monte-Carlo estimator that the blocked one in
-cslheat.heating replaced: one draw of every sample, the offset phase
-evaluated, and numpy's mean and standard deviation over all samples.
+gamma_cm_mc_oneshot is the Monte-Carlo estimator of cslheat.heating
+without its blocks and without its shared formula: one draw of every
+sample per factor, numpy's means and covariances over all samples, and
+each shape's combination of the factors' moments and its partials
+written out.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from cslheat import (
     Sphere,
     extents,
     gamma_total,
-    mu_tilde,
     separable_factors,
     total_mass,
 )
@@ -321,37 +322,40 @@ def mu_tilde_site_matrix(lat, k):
 
 
 def gamma_cm_mc_oneshot(model, csl, quad) -> PowerEstimate:
-    """gamma_cm_mc from one draw of all quad.mc_samples samples."""
+    """gamma_cm_mc from one draw of all quad.mc_samples samples per factor."""
     rng = np.random.Generator(np.random.Philox(quad.rng_seed))
+    n = quad.mc_samples
+
+    def moments(dim, form):
+        """Means of |f|^2 and u^2 |f|^2 and the covariance of the means."""
+        u = rng.normal(0.0, sqrt(0.5), n if dim == 1 else (n, dim))
+        u2 = u * u if dim == 1 else np.sum(u * u, axis=1)
+        f2 = _abs2(form((u if dim == 1 else np.sqrt(u2)) / csl.r_c)) * np.ones(n)
+        g = np.stack((f2, u2 * f2))
+        return np.mean(g, axis=1), np.cov(g) / n
+
+    def grad_var(cov, d_a, d_b):
+        return d_a * d_a * cov[0, 0] + 2.0 * d_a * d_b * cov[0, 1] + d_b * d_b * cov[1, 1]
+
     if isinstance(model, (Cuboid, LayeredStack)):
-        n = quad.mc_samples
-        est = {}
-        for axis in "xyz":
-            batch_a = rng.normal(0.0, sqrt(0.5), n)
-            batch_b = rng.normal(0.0, sqrt(0.5), n)
-            fa = _abs2(separable_factors(model, axis, batch_a / csl.r_c))
-            fb = batch_b * batch_b * _abs2(
-                separable_factors(model, axis, batch_b / csl.r_c)
-            )
-            est[axis] = [sqrt(pi) * v for v in (
-                np.mean(fa), np.std(fa, ddof=1) / sqrt(n),
-                np.mean(fb), np.std(fb, ddof=1) / sqrt(n),
-            )]
-        i3 = var = 0.0
-        for ax in "xyz":
-            j, l = [o for o in "xyz" if o != ax]
-            i3 += est[ax][2] * est[j][0] * est[l][0]
-            d_a = est[j][2] * est[l][0] + est[l][2] * est[j][0]
-            d_b = est[j][0] * est[l][0]
-            var += (d_a * est[ax][1]) ** 2 + (d_b * est[ax][3]) ** 2
-        pref = gamma_total(total_mass(model), csl) / I3_FREE
-        return PowerEstimate(pref * i3, pref * sqrt(var))
-    k = rng.normal(0.0, 1.0 / (sqrt(2.0) * csl.r_c), size=(quad.mc_samples, 3))
-    g = np.einsum("ij,ij->i", k, k) * _abs2(mu_tilde(model, k))
-    pref = (
-        csl.lambda_rate * CONSTANTS.hbar**2
-        / (2.0 * total_mass(model) * CONSTANTS.m_nucleon**2)
-    )
-    return PowerEstimate(
-        pref * float(np.mean(g)), pref * float(np.std(g, ddof=1) / sqrt(len(g)))
-    )
+        est = [moments(1, lambda k, axis=axis: separable_factors(model, axis, k))
+               for axis in "xyz"]
+        (a_x, b_x), (a_y, b_y), (a_z, b_z) = (mean for mean, _ in est)
+        i3 = b_x * a_y * a_z + a_x * b_y * a_z + a_x * a_y * b_z
+        var = (grad_var(est[0][1], b_y * a_z + a_y * b_z, a_y * a_z)
+               + grad_var(est[1][1], b_x * a_z + a_x * b_z, a_x * a_z)
+               + grad_var(est[2][1], b_x * a_y + a_x * b_y, a_x * a_y))
+    elif isinstance(model, Cylinder):
+        (a_p, b_p), cov_p = moments(2, lambda k: two_j1_over_x(k * model.radius))
+        (a_z, b_z), cov_z = moments(1, lambda k: sinc(0.5 * k * model.height))
+        i3 = b_p * a_z + a_p * b_z
+        var = grad_var(cov_p, b_z, a_z) + grad_var(cov_z, b_p, a_p)
+    elif isinstance(model, Sphere):
+        (_, b), cov = moments(3, lambda k: sphere_form_kernel(k * model.radius))
+        i3, var = b, cov[1, 1]
+    else:  # a point mass: |f| = 1
+        (_, b), cov = moments(3, lambda k: 1.0)
+        i3, var = b, cov[1, 1]
+    # the Gaussian of the draws integrates to pi^(3/2) over R^3
+    pref = gamma_total(total_mass(model), csl) / I3_FREE * pi**1.5
+    return PowerEstimate(pref * i3, pref * sqrt(var))

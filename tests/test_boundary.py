@@ -3,13 +3,14 @@
 Derandomized fuzzes run cli.main.  One mutates committed specs one
 value, key or list entry at a time: every outcome must be one of the
 documented exit codes, never a traceback, and a success must print
-strict JSON, or with --csv a rectangular table.  One feeds `heat`
-arbitrary JSON documents and documents in the shape of a spec, and one
-puts bad values into the flags of `mu`, `scan` and `heat`: both must end
-in 0 or 2, never in a compute error.  Every failure leaves stdout empty,
-except the failing report of lattice-check.  The slow commands, heat --mc
-(on specs cut to 1,000 samples) and lattice-check, get their own
-mutation fuzzes with few examples.
+strict JSON, or with --csv a rectangular table; under `mu` it must end in
+0 or 2.  One feeds `heat` arbitrary JSON documents and documents in the
+shape of a spec, one puts bad values into the flags of `mu`, `scan` and
+`heat`, and one moves bodies near the float range under `mu`: all must
+end in 0 or 2, never in a compute error.  Every failure leaves stdout
+empty, except the failing report of lattice-check.  The slow commands,
+heat --mc (on specs cut to 1,000 samples) and lattice-check, get their
+own mutation fuzzes with few examples.
 """
 
 import contextlib
@@ -30,11 +31,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cslheat import ValidationError, dumps_spec, load_spec, loads_spec
-from cslheat.analysis import MAX_PAIRS, InfeasibleDesign, design_stack
+from cslheat.analysis import InfeasibleDesign, design_stack
 from cslheat.cli import main
-from cslheat.core import MAX_EXTENT_RC, MAX_MC_SAMPLES
+from cslheat.core import MAX_EXTENT_RC, MAX_MC_SAMPLES, MAX_PAIRS
 from cslheat.geometry import SHAPES, Material
 from cslheat.heating import heating_report
+from cslheat.lattice import LATTICE_CHECK_RC
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
@@ -100,7 +102,10 @@ def test_mutated_specs_exit_cleanly(tmp_path, data):
     spec, mutation = _mutate(tmp_path, data, doc)
     code, out, err = _run_main([command, "--spec", str(spec), *EXTRA_ARGS.get(command, []),
                                 *fmt])
-    assert code in (0, 2, 3, 4), (command, name, *mutation, fmt, err)
+    # mu computes no rate: a position or offset of 1e308 that overflows
+    # the phase at a --at wavevector names the flag
+    assert code in ((0, 2) if command == "mu" else (0, 2, 3, 4)), (
+        command, name, *mutation, fmt, err)
     _assert_clean_exit(code, out, fmt)
 
 
@@ -253,6 +258,32 @@ def test_bad_flag_values_exit_0_or_2(data):
     _assert_clean_exit(code, out)
 
 
+# a body moved near the float range, and wavevectors from 0 to far past
+# its inverse distance: the phase k . offset (k . position) overflows
+FAR_COORDS = [1e308, -1e308, 1e300, 1e200, 1e-300]
+FAR_K = ["0", "10", "-3e7", "1e200", "-1e308"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_far_bodies_mu_exits_0_or_2(tmp_path, data):
+    name = data.draw(st.sampled_from(SPEC_FILES))
+    doc = json.loads((SPECS / name).read_text())
+    model = doc["mass_model"]
+    key = "position" if model["type"] == "point" and data.draw(st.booleans()) else "offset"
+    model[key] = [0.0, 0.0, 0.0]
+    model[key][data.draw(st.integers(0, 2))] = data.draw(st.sampled_from(FAR_COORDS))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    at = ",".join(data.draw(st.sampled_from(FAR_K)) for _ in range(3))
+    code, out, err = _run_main(["mu", "--spec", str(spec), f"--at={at}"])
+    assert code in (0, 2), (name, key, model[key], at, err)
+    if code == 2:
+        assert err.startswith("spec error: --at: "), err
+    _assert_clean_exit(code, out)
+
+
 def _mutated(tmp_path, name, edit):
     doc = json.loads((SPECS / name).read_text())
     edit(doc)
@@ -324,6 +355,90 @@ def test_overflowing_products_exit_2(tmp_path, capsys, argv, name, edit, field):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"spec error: {field}")
+
+
+def _far_point(doc):
+    doc["mass_model"]["position"] = [1e-07, 1e308, -2e-07]
+
+
+@pytest.mark.parametrize("argv, name, edit, flag", [
+    (["--at", "10,10,0"], "point_offset.json", _far_point, "--at"),
+    (["--at", "0,0,0", "--at", "1e200,0,0"], "sphere.json", None, "--at"),  # |k|^2
+    (["--axis", "y", "--k-min", "0", "--k-max", "1e300", "--num", "3"], "cylinder.json", None,
+     "--k-max"),
+    (["--k-min=-1e308", "--k-max=0", "--num=3"], "cube_large.json",
+     lambda doc: doc["mass_model"].update(lx=10.0), "--k-min"),
+], ids=["phase", "radius", "sweep_max", "sweep_min"])
+def test_form_factor_overflow_exits_2(tmp_path, capsys, argv, name, edit, flag):
+    # finite wavevectors at which a phase or kernel argument overflows:
+    # mu names the flag that set them, without a numpy warning
+    path = _mutated(tmp_path, name, edit or (lambda doc: None))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["mu", "--spec", str(path), *argv]) == 2
+    assert caught == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"spec error: {flag}: the form factor at k = ")
+
+
+def test_far_point_heat_mc_exits_0(tmp_path, capsys):
+    # the Monte Carlo samples moments, never a phase: a position near the
+    # float range leaves it unchanged bit for bit
+    def cut(doc):
+        doc["quadrature"] = {"mc_samples": 1000}
+
+    payloads = []
+    for edit in (cut, lambda doc: (cut(doc), _far_point(doc))):
+        path = _mutated(tmp_path, "point_offset.json", edit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["heat", "--spec", str(path), "--mc"]) == 0
+        payloads.append(json.loads(capsys.readouterr().out, parse_constant=_refuse_constant))
+    near, far = (p["result"] for p in payloads)
+    assert far["gamma_cm_mc"] == near["gamma_cm_mc"]
+    assert far["gamma_cm_mc_stderr"] == near["gamma_cm_mc_stderr"]
+
+
+LO_RC, HI_RC = LATTICE_CHECK_RC
+
+
+@pytest.mark.parametrize("r_c, code", [
+    (1.01 * LO_RC, 0), (0.99 * HI_RC, 0),
+    (0.99 * LO_RC, 2), (1.01 * HI_RC, 2),
+    # exit 3 before the range: division by zero, NaN
+    (1e-60, 2), (1e-100, 2), (1e100, 2), (1e308, 2),
+])
+def test_lattice_check_rc_range(tmp_path, capsys, r_c, code):
+    # inside its r_c range every probe rate is a normal float and every
+    # check passes; outside it lattice-check refuses csl.r_c
+    path = _mutated(tmp_path, "point.json", lambda doc: doc["csl"].update(r_c=r_c))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["lattice-check", "--spec", str(path)]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert json.loads(out, parse_constant=_refuse_constant)["result"]["all_passed"]
+    else:
+        assert out == ""
+        assert err.startswith("spec error: csl.r_c: lattice-check needs r_c in ")
+
+
+def test_layer_cap(tmp_path, capsys):
+    doc = json.loads((SPECS / "stack16.json").read_text())
+
+    def load(n):
+        doc["mass_model"]["layers"] = [{"material": "gold", "thickness": 1e-9}] * n
+        return loads_spec(json.dumps(doc))
+
+    assert len(load(2 * MAX_PAIRS).mass_model.layers) == 2 * MAX_PAIRS
+    with pytest.raises(ValidationError) as info:
+        load(2 * MAX_PAIRS + 1)
+    assert info.value.field == "mass_model.layers"
+    path = tmp_path / "stack.json"
+    path.write_text(json.dumps(doc))
+    assert main(["heat", "--spec", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("spec error: mass_model.layers: at most ")
 
 
 R_C_TINY = 1e-140  # keeps a sphere of 5e149 r_c radius of finite mass

@@ -499,8 +499,12 @@ def test_parser_reuse_keeps_output(capsys):
 # one-branch special kernels, the blocked Monte-Carlo estimator and the
 # site-blocked mu_tilde_discrete; those of sphere, cylinder, point_offset and
 # stack_offset recorded from commit 3c106e8, before the one-class-per-shape
-# geometry.  Commands that run none of those emit the same bytes; the rest
-# agree with the recording to rounding.
+# geometry.  The `heat --mc` payloads of the cuboid, stack and cylinder
+# specs were re-recorded when the Monte Carlo moved to one estimator of the
+# factors' moments (shared draws per factor in place of separate A and B
+# batches per axis, or 3D wavevectors for the cylinder).  Commands that run
+# none of those emit the same bytes; the rest agree with the recording to
+# rounding.
 RECORDED = json.loads((Path(__file__).resolve().parent / "data" /
                        "cli_payloads.json").read_text())
 # fields computed by the rewritten routes, with the agreement each holds to

@@ -18,6 +18,7 @@ from cslheat import (
     separable_factors,
     total_mass,
 )
+from cslheat.geometry import _i3
 
 from conftest import R_C, mu_oracle, random_k, random_model
 
@@ -275,3 +276,57 @@ def test_extents():
         1e-7, 2e-7, (Layer(SILICON, 1e-7), Layer(SILICON, 3e-7))
     )
     assert extents(stack) == (1e-7, 2e-7, 4e-7)
+
+
+FACTOR_MODELS = [
+    PointMass(1e-9, (1e-7, 0.0, -1e-7)),
+    Cuboid(2e-7, 3e-7, 4e-7, SILICON),
+    LayeredStack(3e-7, 4e-7, (Layer(Material("a", 1500.0), 2e-7),
+                              Layer(Material("b", 500.0), 1e-7))),
+    Sphere(2e-7, SILICON),
+    Cylinder(1e-7, 3e-7, SILICON),
+]
+
+
+class TestFactors:
+    """The factors and moments of each shape, and the one I3 formula."""
+
+    @pytest.mark.parametrize("model", FACTOR_MODELS, ids=lambda m: type(m).__name__)
+    def test_factors_multiply_to_form_factor(self, model, rng):
+        # the factors split x, y, z in order: d = 1 takes one component,
+        # d = 2 or 3 the radius of its components
+        k = random_k(rng, n=40)
+        product, start = np.ones(len(k), dtype=complex), 0
+        for factor in model.factors:
+            comps = k[:, start : start + factor.dim]
+            arg = comps[:, 0] if factor.dim == 1 else np.sqrt(np.sum(comps**2, axis=1))
+            product *= factor.form(arg)
+            start += factor.dim
+        assert start == 3
+        want = np.abs(normalized_form_factor(model, k))
+        np.testing.assert_allclose(np.abs(product), want, rtol=1e-13, atol=1e-14)
+
+    def test_formula_keeps_closed_form_operand_order(self, rng):
+        # bit for bit the box and cylinder expressions the closed forms used
+        for _ in range(200):
+            (ax, bx), (ay, by), (az, bz) = rng.uniform(0.0, 2.0, (3, 2))
+            assert _i3([(ax, bx), (ay, by), (az, bz)]) == (
+                bx * ay * az + ax * by * az + ax * ay * bz)
+            assert _i3([(ax, bx), (az, bz)], 2.0 * np.pi) == 2.0 * np.pi * (bx * az + ax * bz)
+            assert _i3([(np.nan, bx)], 3.0) == 3.0 * bx  # a lone A is not read
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_unit_substitution_gives_partials(self, n, rng):
+        moments = [tuple(v) for v in rng.uniform(0.5, 2.0, (n, 2))]
+        a = [m[0] for m in moments]
+        b = [m[1] for m in moments]
+        for f in range(n):
+            others = [g for g in range(n) if g != f]
+            d_b = np.prod([a[g] for g in others])
+            d_a = sum(b[h] * np.prod([a[g] for g in others if g != h]) for h in others)
+            sub = lambda unit: _i3([unit if g == f else m for g, m in enumerate(moments)])
+            assert sub((0.0, 1.0)) == pytest.approx(d_b, rel=1e-14, abs=0)
+            assert sub((1.0, 0.0)) == pytest.approx(d_a, rel=1e-14, abs=1e-300)
+            # and the formula is linear in (A_f, B_f)
+            assert _i3(moments) == pytest.approx(
+                a[f] * sub((1.0, 0.0)) + b[f] * sub((0.0, 1.0)), rel=1e-14, abs=0)

@@ -179,6 +179,30 @@ MC_BODIES = [
 ]
 
 
+CALIBRATION_BODIES = {
+    "cube": Cuboid(3 * R_C, 3 * R_C, 3 * R_C, SILICON),
+    "stack": STACK,  # the offset drops out
+    "sphere": Sphere(2 * R_C, SILICON),
+    "cylinder": Cylinder(R_C, 4 * R_C, SILICON),
+    "plate": Cuboid(100 * R_C, 100 * R_C, R_C, SILICON),  # 1:100
+}
+
+
+@pytest.mark.parametrize("model", CALIBRATION_BODIES.values(), ids=CALIBRATION_BODIES.keys())
+def test_mc_standard_error_is_calibrated(model):
+    # z = (MC - closed form) / stderr over seeds 0..49 at 2e4 samples: a
+    # true standard error puts about 68% of |z| below 1 (binomial sd 0.066
+    # over 50) and, for a normal z, none beyond 5
+    want = gamma_cm(model, CSL, QUAD).value
+    z = []
+    for seed in range(50):
+        est = gamma_cm_mc(model, CSL, dataclasses.replace(QUAD, mc_samples=20_000, rng_seed=seed))
+        z.append((est.value - want) / est.error)
+    z = np.abs(z)
+    assert 0.45 <= np.mean(z < 1.0) <= 0.9
+    assert z.max() <= 5.0
+
+
 class TestMonteCarloBlocks:
     """The blocked estimator against one draw of every sample."""
 

@@ -29,7 +29,7 @@ from cslheat import (
     mu_tilde_discrete,
     total_mass,
 )
-from cslheat.lattice import _axis_marginals, _axis_pair_sums
+from cslheat.lattice import PAIR_CAP, _axis_marginals, _axis_pair_sums
 from conftest import (
     full_grid_lattice,
     gamma_cm_pair_tensor,
@@ -78,8 +78,15 @@ class TestBuildLattice:
         assert ratio == pytest.approx(10.0, rel=1e-9, abs=0)
 
     def test_site_cap(self):
-        with pytest.raises(TooManySites):
-            build_lattice(Cuboid(1e-3, 1e-3, 1e-3, SILICON), 1e-6, site_cap=10_000)
+        # 1000^3 candidate sites, 10x SITE_CAP: refused before the grid exists
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManySites):
+                build_lattice(Cuboid(1e-3, 1e-3, 1e-3, SILICON), 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_point_mass_single_site(self):
         lat = build_lattice(PointMass(1e-9, (1e-7, 0.0, 0.0)), 1e-8)
@@ -346,10 +353,18 @@ class TestGammaCmDiscrete:
         # the dense n x n route needed more than 500 MB here
         assert peak < 16e6
 
-    def test_pair_cap(self, rng):
-        lat = random_lattice(rng, 100)
-        with pytest.raises(TooManySites):
-            gamma_cm_discrete(lat, CSL, max_pairs=100)
+    def test_pair_cap(self):
+        n = 2**14 + 1  # n^2 just over PAIR_CAP = 2^28
+        assert n * n > PAIR_CAP >= (n - 1) ** 2
+        lat = Lattice(np.full(n, 1e-18), np.zeros((n, 3)), 1e-24)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManySites):
+                gamma_cm_discrete(lat, CSL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5  # refused before any pair block
 
     def test_stack_matches_quadrature(self):
         heavy, light = Material("h", 2000.0), Material("l", 200.0)
