@@ -11,6 +11,11 @@ routines scan the correlation length, optimize the layer count at fixed
 mass, quantify the discriminability of a design set, and convert measured
 powers into collapse-rate upper bounds via the linearity of the rate in
 lambda.
+
+A design (a LayerDesign, built by design_stack) is itself a
+LayeredStack: the rates, the body checks of core and a spec's
+mass_model take it as it is.  The thermal gain lives in core, whose
+spec checks use it, and is re-exported here.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
-from .core import CONSTANTS, CONSTANTS_VERSION, MAX_PAIRS, CslParams, QuadratureSpec
-from .core import ThermalModel, _check_body
+from .core import CONSTANTS_VERSION, MAX_PAIRS, CslParams, QuadratureSpec, ThermalModel
+from .core import _check_body, _material_to_dict, thermal_gain
 from .geometry import Layer, LayeredStack, MassModel, Material
 from .heating import gamma_cm, heating_report
 
@@ -35,92 +40,43 @@ class ConstraintViolation(ValueError):
     """Designs in a comparison set differ in mass or material mass ratio."""
 
 
-def thermal_gain(thermal: ThermalModel) -> float:
-    """Thermal-leakage heating rate [W]: damping rate times k_B T.
-
-    Never reads any geometry, so it is identical for all designs that
-    share materials and damping.
-    """
-    return thermal.gamma_th * CONSTANTS.k_boltzmann * thermal.temperature
-
-
-@dataclass(frozen=True)
-class LayerDesign:
-    """Alternating two-material stack at fixed total mass.
+class LayerDesign(LayeredStack):
+    """Alternating two-material stack at fixed total mass: a LayeredStack.
 
     Layers alternate material A, material B, bottom to top; all A layers
     share one thickness and all B layers another, so a design is fixed by
-    the pair count, the mass split, and the cross-section.
+    the pair count, the mass split, and the cross-section.  It has the
+    stack's fields and goes wherever a stack goes (heating_report, a
+    spec's mass_model); it adds only the pair count, the mass ratio and
+    its payload form.
     """
-
-    material_a: Material
-    material_b: Material
-    layer_thicknesses: tuple[float, ...]  # alternating t_A, t_B, ...
-    lx: float
-    ly: float
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_thicknesses)
 
     @property
     def n_pairs(self) -> int:
-        return self.n_layers // 2
+        return len(self.layers) // 2
 
-    @property
-    def mass_a(self) -> float:
+    def _masses(self) -> tuple[float, float]:
+        """The A and the B mass, each summed over its layers bottom to top."""
         area = self.lx * self.ly
-        return sum(
-            t * self.material_a.density * area
-            for t in self.layer_thicknesses[0::2]
-        )
-
-    @property
-    def mass_b(self) -> float:
-        area = self.lx * self.ly
-        return sum(
-            t * self.material_b.density * area
-            for t in self.layer_thicknesses[1::2]
-        )
-
-    @property
-    def total_mass(self) -> float:
-        return self.mass_a + self.mass_b
+        return tuple(sum(layer.thickness * layer.material.density * area
+                         for layer in self.layers[first::2]) for first in (0, 1))
 
     @property
     def mass_ratio(self) -> float:
-        return self.mass_a / self.mass_b
-
-    @property
-    def min_layer_thickness(self) -> float:
-        return min(self.layer_thicknesses)
-
-    @property
-    def height(self) -> float:
-        return sum(self.layer_thicknesses)
-
-    def to_mass_model(self) -> LayeredStack:
-        mats = (self.material_a, self.material_b)
-        return LayeredStack(
-            lx=self.lx,
-            ly=self.ly,
-            layers=tuple(
-                Layer(mats[i % 2], t) for i, t in enumerate(self.layer_thicknesses)
-            ),
-        )
+        mass_a, mass_b = self._masses()
+        return mass_a / mass_b
 
     def to_dict(self) -> dict:
+        mass_a, mass_b = self._masses()
         return {
-            "material_a": {"name": self.material_a.name,
-                           "density": self.material_a.density},
-            "material_b": {"name": self.material_b.name,
-                           "density": self.material_b.density},
-            "layer_thicknesses": list(self.layer_thicknesses),
+            "material_a": _material_to_dict(self.layers[0].material),
+            "material_b": _material_to_dict(self.layers[1].material),
+            "layer_thicknesses": [layer.thickness for layer in self.layers],
             "lx": self.lx,
             "ly": self.ly,
-            "n_layers": self.n_layers,
-            "total_mass": self.total_mass,
-            "mass_ratio": self.mass_ratio,
+            "n_layers": len(self.layers),
+            "total_mass": mass_a + mass_b,
+            "mass_ratio": mass_a / mass_b,
         }
 
 
@@ -162,13 +118,7 @@ def design_stack(
             and total_mass_kg / area < math.inf):
         raise InfeasibleDesign(f"the {n_pairs}-pair stack of layer thicknesses {t_a!r} and "
                                f"{t_b!r} has no finite height and mass per area")
-    return LayerDesign(
-        material_a=material_a,
-        material_b=material_b,
-        layer_thicknesses=(t_a, t_b) * n_pairs,
-        lx=lx,
-        ly=ly,
-    )
+    return LayerDesign(lx, ly, (Layer(material_a, t_a), Layer(material_b, t_b)) * n_pairs)
 
 
 @dataclass(frozen=True)
@@ -214,7 +164,7 @@ def optimize_layers(
     best_gamma = -math.inf
     for n in counts:
         design = design_stack(total_mass_kg, mat_a, mat_b, lx, ly, n, mass_ratio)
-        g = gamma_cm(design.to_mass_model(), csl, quad).value
+        g = gamma_cm(design, csl, quad).value
         evaluations.append((n, g))
         if g > best_gamma * (1.0 + _TIE_REL) or best_design is None:
             best_design, best_gamma = design, g
@@ -258,9 +208,7 @@ def discriminability_report(
                 f"design {i} mass ratio {d.mass_ratio!r} differs from "
                 f"{ref.mass_ratio!r}"
             )
-    gammas = tuple(
-        gamma_cm(d.to_mass_model(), csl, quad).value for d in designs
-    )
+    gammas = tuple(gamma_cm(d, csl, quad).value for d in designs)
     th = thermal_gain(thermal)
     mean = sum(gammas) / len(gammas)
     spread = (max(gammas) - min(gammas)) / mean if mean > 0 else 0.0

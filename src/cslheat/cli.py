@@ -221,7 +221,7 @@ def _check_design(spec: ExperimentSpec, design) -> None:
     """The checks across fields that loads_spec makes of a spec's body,
     made of a task design; a failure names the task."""
     try:
-        _check_body(design.to_mass_model(), spec.csl)
+        _check_body(design, spec.csl)
     except ValidationError as exc:
         raise ValidationError("task", f"the {design.n_pairs}-pair design fails {exc}") from None
 

@@ -1,4 +1,5 @@
-"""Physical constants, model parameters, and experiment specification files.
+"""Physical constants, model parameters, the two closed forms that need no
+geometry (gamma_total, thermal_gain), and experiment specification files.
 
 Everything is SI internally and in the JSON spec files: lengths in meters,
 densities in kg/m^3, rates in 1/s, temperatures in K, powers in W.
@@ -132,6 +133,24 @@ class ThermalModel:
 
     gamma_th: float
     temperature: float
+
+
+def gamma_total(mass: float, csl: CslParams) -> float:
+    """Total heating rate [W]: geometry-independent closed form."""
+    if not mass > 0:
+        raise ValueError(f"mass must be > 0, got {mass}")
+    c = CONSTANTS
+    # divide by r_c twice: r_c**2 can overflow where the rate merely underflows
+    return 0.75 * c.hbar**2 * csl.lambda_rate * mass / c.m_nucleon**2 / csl.r_c / csl.r_c
+
+
+def thermal_gain(thermal: ThermalModel) -> float:
+    """Thermal-leakage heating rate [W]: damping rate times k_B T.
+
+    Never reads any geometry, so it is identical for all designs that
+    share materials and damping.
+    """
+    return thermal.gamma_th * CONSTANTS.k_boltzmann * thermal.temperature
 
 
 @dataclass(frozen=True)
@@ -305,9 +324,7 @@ def loads_spec(text: str) -> ExperimentSpec:
     thermal = None
     if doc.get("thermal") is not None:
         thermal = _read_fields(ThermalModel, doc["thermal"], "thermal")
-        # in the order of analysis.thermal_gain, which computes it
-        power = thermal.gamma_th * CONSTANTS.k_boltzmann * thermal.temperature
-        if not math.isfinite(power):
+        if not math.isfinite(thermal_gain(thermal)):
             raise ValidationError("thermal", f"the thermal power gamma_th k_B T overflows at "
                                              f"gamma_th {thermal.gamma_th!r}, temperature "
                                              f"{thermal.temperature!r}")
@@ -335,8 +352,6 @@ def _check_body(model: MassModel, csl: CslParams) -> None:
         mass = math.inf
     if not 0 < mass < math.inf:
         raise ValidationError("mass_model", f"total mass must be finite and > 0, got {mass!r}")
-    from .heating import gamma_total  # heating imports this module
-
     if not math.isfinite(gamma_total(mass, csl)):
         raise ValidationError("csl", f"the total heating rate of {mass!r} kg overflows at "
                                      f"lambda {csl.lambda_rate!r}, r_c {csl.r_c!r}")

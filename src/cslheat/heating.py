@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import CONSTANTS, CslParams, QuadratureSpec
+from .core import CslParams, QuadratureSpec, gamma_total
 from .geometry import I3_FREE, MassModel, _i3, total_mass
 
 # relative accuracy of the closed forms for extent / r_c in [1e-6, 1e5]
@@ -67,15 +67,6 @@ class HeatingReport:
     reduction_factor: float
     quadrature_estimate_error: float  # relative accuracy bound, REL_ERROR
     internal_clamped: bool = False
-
-
-def gamma_total(mass: float, csl: CslParams) -> float:
-    """Total heating rate [W]: geometry-independent closed form."""
-    if not mass > 0:
-        raise ValueError(f"mass must be > 0, got {mass}")
-    c = CONSTANTS
-    # divide by r_c twice: r_c**2 can overflow where the rate merely underflows
-    return 0.75 * c.hbar**2 * csl.lambda_rate * mass / c.m_nucleon**2 / csl.r_c / csl.r_c
 
 
 def gamma_cm(

@@ -230,7 +230,7 @@ def test_criterion_08_layering_enhancement():
         oracle = {}
         for n in counts:
             d = design_stack(mass, DENSE, LIGHT, cross[0], cross[1], n)
-            oracle[n] = gamma_cm(d.to_mass_model(), CSL, QUAD).value
+            oracle[n] = gamma_cm(LayeredStack(d.lx, d.ly, d.layers), CSL, QUAD).value
         best_n = max(oracle, key=oracle.get)
         assert res.best.n_pairs == best_n
         assert res.gamma_cm == pytest.approx(oracle[best_n], rel=1e-12, abs=0)
@@ -243,7 +243,7 @@ def test_criterion_08_layering_enhancement():
         slab = Cuboid(cross[0], cross[1], res.best.height, Material("mix", rho_eff))
         assert res.gamma_cm > gamma_cm(slab, CSL, QUAD).value
         # the fine structural scale of the winning design sits at r_c
-        t_min = res.best.min_layer_thickness
+        t_min = min(layer.thickness for layer in res.best.layers)
         assert R_C / 3.0 <= t_min <= 3.0 * R_C
 
 
@@ -256,7 +256,7 @@ def test_criterion_09_discriminability():
         designs = [
             design_stack(mass, DENSE, LIGHT, lx, ly, n) for n in (1, 16)
         ]
-        assert min(designs[1].layer_thicknesses) == pytest.approx(R_C, rel=1e-9, abs=0)
+        assert min(l.thickness for l in designs[1].layers) == pytest.approx(R_C, rel=1e-9, abs=0)
         thermal = ThermalModel(1e-3, 0.1)
         rep = discriminability_report(designs, CSL, thermal, QUAD)
         assert rep.spread > 0.1

@@ -1,6 +1,7 @@
 """Thermal comparison, r_c scans, layer optimization, lambda bounds."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cslheat import (
     Cuboid,
     InfeasibleDesign,
     Layer,
+    LayerDesign,
     LayeredStack,
     Material,
     PointMass,
@@ -60,13 +62,16 @@ class TestDesignStack:
         d = design_stack(3.7e-9, DENSE, LIGHT, 2e-5, 1e-5, 7, mass_ratio=2.5)
         assert d.total_mass == pytest.approx(3.7e-9, rel=1e-12, abs=0)
         assert d.mass_ratio == pytest.approx(2.5, rel=1e-12, abs=0)
-        assert d.n_layers == 14
+        assert len(d.layers) == 14 and d.n_pairs == 7
+        dumped = d.to_dict()
+        assert dumped["total_mass"] == pytest.approx(3.7e-9, rel=1e-12, abs=0)
+        assert dumped["mass_ratio"] == d.mass_ratio
+        assert dumped["n_layers"] == 14
 
     def test_equal_thickness_when_ratio_matches_contrast(self):
         d = design_stack(1e-9, DENSE, LIGHT, 1e-5, 1e-5, 4, mass_ratio=10.0)
-        assert max(d.layer_thicknesses) == pytest.approx(
-            min(d.layer_thicknesses), rel=1e-12, abs=0
-        )
+        thicknesses = [layer.thickness for layer in d.layers]
+        assert max(thicknesses) == pytest.approx(min(thicknesses), rel=1e-12, abs=0)
 
     def test_infeasible(self):
         with pytest.raises(InfeasibleDesign):
@@ -76,12 +81,18 @@ class TestDesignStack:
         with pytest.raises(InfeasibleDesign):
             design_stack(1e-9, DENSE, LIGHT, 1e-5, 1e-5, 1, mass_ratio=0.0)
 
-    def test_to_mass_model_alternates(self):
+    def test_layers_alternate(self):
         d = design_stack(1e-9, DENSE, LIGHT, 1e-5, 1e-5, 2)
-        stack = d.to_mass_model()
-        assert [l.material.name for l in stack.layers] == [
+        assert [l.material.name for l in d.layers] == [
             "dense", "light", "dense", "light",
         ]
+
+    def test_design_is_a_stack(self):
+        d = design_stack(1e-9, DENSE, LIGHT, 2e-5, 1e-5, 3, mass_ratio=2.0)
+        assert isinstance(d, LayeredStack)
+        assert fields(LayerDesign) == fields(LayeredStack)  # no fields of its own
+        stack = LayeredStack(d.lx, d.ly, d.layers)
+        assert heating_report(d, CSL, QUAD) == heating_report(stack, CSL, QUAD)
 
 
 class TestScanRc:
@@ -174,7 +185,7 @@ class TestOptimizeLayers:
         oracle = {}
         for n in counts:
             d = design_stack(mass, DENSE, LIGHT, lx, ly, n)
-            oracle[n] = gamma_cm(d.to_mass_model(), CSL, QUAD).value
+            oracle[n] = gamma_cm(LayeredStack(d.lx, d.ly, d.layers), CSL, QUAD).value
         best_n = max(oracle, key=oracle.get)
         assert res.best.n_pairs == best_n
         assert res.gamma_cm == pytest.approx(oracle[best_n], rel=1e-12, abs=0)

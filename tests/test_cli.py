@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from cslheat import load_spec, spec_hash
+from cslheat import ExperimentSpec, dumps_spec, load_spec, loads_spec, optimize_layers, spec_hash
 from cslheat.cli import main
+from cslheat.core import parse_material
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -412,6 +413,30 @@ def test_optimize_payload(tmp_path, capsys):
     result = json.loads(out)["result"]
     assert len(result["evaluations"]) == 4
     assert result["gamma_cm"] == max(e["gamma_cm"] for e in result["evaluations"])
+
+
+def test_best_design_is_a_spec_stack(tmp_path, capsys):
+    # the optimum of `optimize`, written as a spec's mass_model, reads back
+    # as the same stack and `heat` gives the optimum's gamma_cm bit for bit
+    spec = load_spec(SPECS / "optimize.json")
+    code, out, _ = run(capsys, "optimize", "--spec", str(SPECS / "optimize.json"))
+    assert code == 0
+    optimum = json.loads(out)["result"]
+    task = spec.task
+    best = optimize_layers(
+        task["total_mass"],
+        (parse_material(task["material_a"]), parse_material(task["material_b"])),
+        (task["lx"], task["ly"]), range(task["n_min"], task["n_max"] + 1),
+        spec.csl, spec.quadrature, mass_ratio=task["mass_ratio"],
+    ).best
+    assert best.to_dict() == optimum["best"] and best.n_pairs == optimum["n_pairs"]
+    path = tmp_path / "best.json"
+    path.write_text(dumps_spec(ExperimentSpec(1, spec.csl, best, spec.quadrature)))
+    stack = loads_spec(path.read_text()).mass_model
+    assert (stack.lx, stack.ly, stack.layers) == (best.lx, best.ly, best.layers)
+    code, out, _ = run(capsys, "heat", "--spec", str(path))
+    assert code == 0
+    assert json.loads(out)["result"]["gamma_cm"] == optimum["gamma_cm"]
 
 
 def test_discriminate_payload(capsys):
