@@ -256,7 +256,7 @@ def cmd_discriminate(args, spec: ExperimentSpec):
     ]
     for design in designs:
         _check_design(spec, design)
-    threshold = _task(spec, "threshold", default=0.1)
+    threshold = _task(spec, "threshold", _nonnegative, default=0.1)
     report = discriminability_report(
         designs, spec.csl, spec.thermal, spec.quadrature, threshold=threshold
     )

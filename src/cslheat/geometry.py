@@ -21,21 +21,22 @@ exp(-i k . offset).
 The shape contract: a new shape is one MassModel class here, listed in
 SHAPES.  Its dataclass fields are its spec fields (core reads, validates
 and writes them by walking the fields), and it defines its spec `kind`,
-`total_mass`, `extents` (with `extent_fields`, the spec field that sets
-each extent), `factors`, `i3_scale` and `inside` (the cell-centre test
-of the lattice fill).  `factors` are the independent Factors of the
+`extent_fields` (the spec field that sets each extent), `total_mass`,
+`factors` and `i3_scale`.  `factors` are the independent Factors of the
 normalized form factor of the centred body, in x, y, z order: lines
 (d = 1) of one wavevector component, a disc (d = 2) or ball (d = 3) of
 the radius of theirs.  A cuboid or stack has three lines, a cylinder a
-disc and a line, a sphere a ball, a point mass a ball with |f| = 1.
-I3 of heating is one formula over their Gaussian moments, A_f of |f|^2
-and B_f of u^2 |f|^2 (u = r_c k): sum_f B_f prod_(g != f) A_g (_i3).
-shape_integral feeds it each factor's closed-form `moments` from the
-special kernels, scaled by `i3_scale`; the Monte Carlo of heating feeds
-it sampled ones.  Cuboids and stacks derive from _Box, which builds
-their extents and box test from their z profile (layer widths and
-densities).  A stack overrides _centred_mu, a point mass (a single
-lattice site) mu, and it needs no inside.
+disc and a line, a sphere a ball, a point mass a ball of extent 0 with
+|f| = 1.  Each factor carries its extent (a line's length, a disc's or
+ball's diameter) and a line its profile (layer widths and densities,
+bottom to top); MassModel derives from them the body's `extents` and
+`inside`, the cell-centre test of the lattice fill, and the lattice its
+per-plane densities and product grid.  I3 of heating is one formula
+over the factors' Gaussian moments, A_f of |f|^2 and B_f of u^2 |f|^2
+(u = r_c k): sum_f B_f prod_(g != f) A_g (_i3).  shape_integral feeds it
+each factor's closed-form `moments` from the special kernels, scaled by
+`i3_scale`; the Monte Carlo of heating feeds it sampled ones.  A stack
+overrides _centred_mu, a point mass (a single lattice site) mu.
 """
 
 from __future__ import annotations
@@ -77,12 +78,18 @@ class Factor(NamedTuple):
     dim: int  # 1 line, 2 disc, 3 ball
     form: Callable  # of the component (line) or radius (disc, ball) in 1/m
     moments: Callable  # of r_c: closed-form (A, B), normalized as the kernel gives them
+    extent: float  # m: a line's length, a disc's or ball's diameter
+    profile: tuple | None = None  # a line's (widths, densities), bottom to top
 
 
-def _segment(length: float) -> Factor:
-    """A uniform line of the given length."""
-    return Factor(1, lambda k: sinc(0.5 * k * length),
-                  lambda r_c: _profile_ab([length / r_c], [1.0]))
+def _line(widths, densities=(1.0,), form=None) -> Factor:
+    """A line of uniform layers side by side; form defaults to the sinc of
+    one layer."""
+    length = sum(widths)
+    if form is None:
+        form = lambda k: sinc(0.5 * k * length)
+    return Factor(1, form, lambda r_c: _profile_ab([w / r_c for w in widths], densities),
+                  length, (tuple(widths), tuple(densities)))
 
 
 def _i3(moments, scale: float = 1.0) -> float:
@@ -102,8 +109,17 @@ class MassModel:
 
     kind: ClassVar[str]
     extent_fields: ClassVar[tuple[str, ...]]
-    separable: ClassVar[bool] = False  # form factor = product over x, y, z
     i3_scale: ClassVar[float] = 1.0
+
+    @property
+    def extents(self) -> tuple[float, ...]:
+        """Full width along x, y and z: each factor's extent on its axes."""
+        return tuple(f.extent for f in self.factors for _ in range(f.dim))
+
+    def _split(self, x, y, z):
+        """Each factor with its components of (x, y, z)."""
+        comps = iter((x, y, z))
+        return [(f, [next(comps) for _ in range(f.dim)]) for f in self.factors]
 
     def mu(self, k: np.ndarray) -> np.ndarray:
         """mu_tilde at the wavevectors k of shape (..., 3), offset included."""
@@ -111,11 +127,19 @@ class MassModel:
 
     def _centred_mu(self, kx, ky, kz):
         """The mass times the factors, each of its component or radius."""
-        comps, out = iter((kx, ky, kz)), 1.0
-        for factor in self.factors:
-            ks = [next(comps) for _ in range(factor.dim)]
+        out = 1.0
+        for factor, ks in self._split(kx, ky, kz):
             out = out * factor.form(ks[0] if len(ks) == 1 else np.sqrt(sum(k * k for k in ks)))
         return self.total_mass * out
+
+    def inside(self, x, y, z):
+        """The cell-centre test of the lattice fill, on centred coordinates."""
+        out = True
+        for factor, cs in self._split(x, y, z):
+            half = 0.5 * factor.extent
+            out = out & (np.abs(cs[0]) <= half if len(cs) == 1
+                         else sum(c * c for c in cs) <= half**2)
+        return out
 
     def shape_integral(self, r_c: float) -> float:
         """I3(r_c) of heating, closed form: _i3 of the factors' moments."""
@@ -128,9 +152,8 @@ class PointMass(MassModel):
     position: tuple[float, float, float] = _ORIGIN
     offset: tuple[float, float, float] = _ORIGIN
     kind = "point"
-    extents = (0.0, 0.0, 0.0)
     extent_fields = ()  # nothing to check: a point has no extent
-    factors = (Factor(3, lambda k: 1.0, lambda r_c: (nan, 1.0)),)
+    factors = (Factor(3, lambda k: 1.0, lambda r_c: (nan, 1.0), 0.0),)
     i3_scale = I3_FREE
 
     @property
@@ -142,23 +165,8 @@ class PointMass(MassModel):
         return self.mass * np.exp(-1j * (k @ pos))
 
 
-class _Box(MassModel):
-    """Rectangular cross-section lx x ly over a z profile of uniform layers."""
-
-    separable = True
-
-    @property
-    def extents(self) -> tuple[float, float, float]:
-        return (self.lx, self.ly, sum(self.z_profile()[0]))
-
-    def inside(self, x, y, z):
-        ext = self.extents
-        inside = (np.abs(x) <= 0.5 * ext[0]) & (np.abs(y) <= 0.5 * ext[1])
-        return inside & (np.abs(z) <= 0.5 * ext[2])
-
-
 @dataclass(frozen=True)
-class Cuboid(_Box):
+class Cuboid(MassModel):
     lx: float
     ly: float
     lz: float
@@ -171,12 +179,9 @@ class Cuboid(_Box):
     def total_mass(self) -> float:
         return self.material.density * self.lx * self.ly * self.lz
 
-    def z_profile(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        return (self.lz,), (self.material.density,)
-
     @property
     def factors(self) -> tuple[Factor, Factor, Factor]:
-        return _segment(self.lx), _segment(self.ly), _segment(self.lz)
+        return _line((self.lx,)), _line((self.ly,)), _line((self.lz,), (self.material.density,))
 
 
 @dataclass(frozen=True)
@@ -193,16 +198,10 @@ class Sphere(MassModel):
         return self.material.density * (4.0 / 3.0) * np.pi * self.radius**3
 
     @property
-    def extents(self) -> tuple[float, float, float]:
-        return (2.0 * self.radius,) * 3
-
-    @property
     def factors(self) -> tuple[Factor]:
         return (Factor(3, lambda k: sphere_form_kernel(k * self.radius),
-                       lambda r_c: (nan, _sphere_reduction(self.radius / r_c))),)
-
-    def inside(self, x, y, z):
-        return x * x + y * y + z * z <= self.radius**2
+                       lambda r_c: (nan, _sphere_reduction(self.radius / r_c)),
+                       2.0 * self.radius),)
 
 
 @dataclass(frozen=True)
@@ -222,20 +221,14 @@ class Cylinder(MassModel):
         return self.material.density * np.pi * self.radius**2 * self.height
 
     @property
-    def extents(self) -> tuple[float, float, float]:
-        return (2.0 * self.radius, 2.0 * self.radius, self.height)
-
-    @property
     def factors(self) -> tuple[Factor, Factor]:
         return (Factor(2, lambda k: two_j1_over_x(k * self.radius),
-                       lambda r_c: _disc_ab(self.radius / r_c)), _segment(self.height))
-
-    def inside(self, x, y, z):
-        return (x**2 + y**2 <= self.radius**2) & (np.abs(z) <= 0.5 * self.height)
+                       lambda r_c: _disc_ab(self.radius / r_c), 2.0 * self.radius),
+                _line((self.height,), (self.material.density,)))
 
 
 @dataclass(frozen=True)
-class LayeredStack(_Box):
+class LayeredStack(MassModel):
     """Rectangular-cross-section stack of uniform layers along z."""
 
     lx: float
@@ -277,18 +270,12 @@ class LayeredStack(_Box):
             * self._z_sum(kz)
         )
 
-    def z_profile(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        return (
-            tuple(layer.thickness for layer in self.layers),
-            tuple(layer.material.density for layer in self.layers),
-        )
-
     @property
     def factors(self) -> tuple[Factor, Factor, Factor]:
-        widths, densities = self.z_profile()
-        return _segment(self.lx), _segment(self.ly), Factor(
-            1, lambda kz: self._z_sum(kz) / self._area_density(),
-            lambda r_c: _profile_ab([w / r_c for w in widths], densities))
+        return _line((self.lx,)), _line((self.ly,)), _line(
+            [layer.thickness for layer in self.layers],
+            [layer.material.density for layer in self.layers],
+            lambda kz: self._z_sum(kz) / self._area_density())
 
 
 SHAPES = {cls.kind: cls for cls in (PointMass, Cuboid, Sphere, Cylinder, LayeredStack)}
@@ -339,6 +326,14 @@ def normalized_form_factor(model: MassModel, k):
     return mu_tilde(model, k) / total_mass(model)
 
 
+def _lines(model: MassModel) -> tuple[Factor, ...]:
+    """The factors of a cuboid or stack, all lines; NotSeparable for any other body."""
+    factors = model.factors
+    if any(f.dim != 1 for f in factors):
+        raise NotSeparable(f"{type(model).__name__} does not factorize over Cartesian axes")
+    return factors
+
+
 def separable_factors(model: MassModel, axis: str, k_axis):
     """1D factor f_axis(k) with normalized_form_factor = f_x * f_y * f_z.
 
@@ -350,10 +345,7 @@ def separable_factors(model: MassModel, axis: str, k_axis):
         ax = _AXES[axis]
     except KeyError:
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-    if not model.separable:
-        raise NotSeparable(
-            f"{type(model).__name__} does not factorize over Cartesian axes"
-        )
+    factor = _lines(model)[ax]
     k = np.asarray(k_axis, dtype=float)
-    out = _translated(model.factors[ax].form(k), k, model.offset[ax])
+    out = _translated(factor.form(k), k, model.offset[ax])
     return out if out.ndim else complex(out)

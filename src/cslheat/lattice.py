@@ -21,13 +21,17 @@ brute-force checks live here:
     with D = |R_l - R_l'| / r_c, so this route involves no quadrature at
     all; its only deviation from the continuum value is the lattice
     discretization itself.  The general pair sum takes row blocks of
-    bounded size.  For product-grid lattices (cuboids, layered stacks) it
-    factorizes over axes into 1D marginal sums, banded by index offset
-    on every axis of uniform pitch.
+    bounded size.  For product-grid lattices, only of bodies whose
+    factors are all lines (cuboids and layered stacks), it factorizes
+    over axes into one 1D marginal sum per line, banded by index offset
+    on every axis of uniform pitch, and the three sums go through the I3
+    formula of geometry._i3.
 
 Sites are filled on a simple cubic grid (cell centers inside the body,
 tested on the three broadcast 1D axes) and the site masses are rescaled
 by one overall factor so the lattice mass matches the model exactly.
+The lattice reads a body only through its factors: their extents, and
+the profile (layer widths and densities) of a last factor that is a line.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ from math import ceil, fsum, sqrt
 import numpy as np
 
 from .core import CONSTANTS, CslParams
-from .geometry import Cuboid, MassModel, Material, NotSeparable, PointMass
-from .geometry import extents, mu_tilde, total_mass
+from .geometry import Cuboid, Factor, MassModel, Material, PointMass
+from .geometry import _i3, _lines, extents, mu_tilde, total_mass
 from .heating import gamma_total
 
 SITE_CAP = 100_000_000  # candidate sites of build_lattice: 0.8 GB per coordinate
@@ -120,12 +124,13 @@ def build_lattice(model: MassModel, spacing: float) -> Lattice:
         )
     x, y, z = np.ix_(*(a - c for a, c in zip(axes, center)))
     inside = model.inside(x, y, z)
-    if model.separable:
-        widths, rho = model.z_profile()
+    last = model.factors[-1]
+    if last.dim == 1:  # a z line: its layers set the density per z plane
+        widths, rho = last.profile
         bounds = -0.5 * ext[2] + np.cumsum([0.0, *widths])
         idx = np.clip(np.searchsorted(bounds, z.ravel(), side="right") - 1,
                       0, len(rho) - 1)
-        density = np.asarray(rho)[idx]  # per z plane
+        density = np.asarray(rho)[idx]
     else:
         density = model.material.density
 
@@ -260,31 +265,21 @@ def _axis_pair_sums(
     return float(corr @ g), float(corr @ ((0.5 - q) * g))
 
 
-def _axis_marginals(model, spacing):
-    """Per-axis 1D site marginals (positions, weights, pitch) for a product grid.
+def _line_grid(line: Factor, center: float, spacing: float):
+    """The 1D site marginal (positions, weights, pitch) of a line factor.
 
-    A z profile of several layers gets a grid aligned to the layer
+    A profile of several layers gets a grid aligned to the layer
     boundaries (per-layer pitch close to `spacing`), so no cell straddles
     a density jump and the discretization error stays O(spacing^2); a
-    single layer takes the uniform grid of the x and y axes.
+    single layer takes a uniform grid of unit total weight.
     """
-    def uniform(center, length):
-        n = max(1, round(length / spacing))
-        p = length / n
-        pos = center + (np.arange(n) - 0.5 * (n - 1)) * p
-        return pos, np.full(n, 1.0 / n), p
-
-    if not model.separable:
-        raise NotSeparable(
-            f"{type(model).__name__} has no product-grid lattice factorization"
-        )
-    off = model.offset
-    xy = uniform(off[0], model.lx), uniform(off[1], model.ly)
-    widths, rho = model.z_profile()
+    widths, rho = line.profile
     if len(widths) == 1:
-        return (*xy, uniform(off[2], widths[0]))
+        n = max(1, round(widths[0] / spacing))
+        p = widths[0] / n
+        return center + (np.arange(n) - 0.5 * (n - 1)) * p, np.full(n, 1.0 / n), p
     zpos, zw = [], []
-    z = -0.5 * sum(widths)
+    z = -0.5 * line.extent
     pitches = []
     for t, density in zip(widths, rho):
         n = max(1, round(t / spacing))
@@ -295,8 +290,13 @@ def _axis_marginals(model, spacing):
         z += t
     # a single pitch is required by the banded pair sum; fall back to
     # the direct sum when layers discretize to different pitches
-    zpitch = pitches[0] if len(set(pitches)) == 1 else None
-    return (*xy, (np.concatenate(zpos) + off[2], np.concatenate(zw), zpitch))
+    pitch = pitches[0] if len(set(pitches)) == 1 else None
+    return np.concatenate(zpos) + center, np.concatenate(zw), pitch
+
+
+def _axis_marginals(model: MassModel, spacing: float) -> list:
+    """One _line_grid per axis; NotSeparable unless every factor is a line."""
+    return [_line_grid(line, c, spacing) for line, c in zip(_lines(model), model.offset)]
 
 
 def gamma_cm_discrete_separable(
@@ -306,15 +306,10 @@ def gamma_cm_discrete_separable(
 
     Exact for the discrete mass distribution (no quadrature); differs from
     the continuum rate only by the O(spacing^2) lattice discretization.
-    Supports point masses, cuboids, and layered stacks.
+    Cuboids and layered stacks only: any other body raises NotSeparable.
     """
-    if isinstance(model, PointMass):
-        return gamma_total(model.mass, csl)
-    (q_x, p_x), (q_y, p_y), (q_z, p_z) = (
-        _axis_pair_sums(pos, w, csl.r_c, pitch)
-        for pos, w, pitch in _axis_marginals(model, spacing)
-    )
-    shape_sum = p_x * q_y * q_z + p_y * q_x * q_z + p_z * q_x * q_y
+    shape_sum = _i3([_axis_pair_sums(pos, w, csl.r_c, pitch)
+                     for pos, w, pitch in _axis_marginals(model, spacing)])
     c = CONSTANTS
     return (
         csl.lambda_rate

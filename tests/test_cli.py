@@ -245,6 +245,7 @@ def _run_edited(tmp_path, capsys, spec_file, edit, *argv):
         ("scan", "point.json", {"rc_grid": [1e-6, 1e-7]}, "task.rc_grid"),
         ("optimize", "optimize.json", {"material_a": {"name": "x", "density": 0.0}},
          "task.material_a.density"),
+        ("discriminate", "discriminate.json", {"threshold": -1.0}, "task.threshold"),
     ],
 )
 def test_exit_2_on_bad_task_number(tmp_path, capsys, command, spec_file, task, field):

@@ -14,6 +14,7 @@ from cslheat import (
     LayeredStack,
     Lattice,
     Material,
+    NotSeparable,
     PointMass,
     QuadratureSpec,
     Sphere,
@@ -282,6 +283,14 @@ class TestGammaCmDiscrete:
         full = gamma_cm_discrete(build_lattice(cube, R_C / 6), CSL)
         marg = gamma_cm_discrete_separable(cube, CSL, R_C / 6)
         assert marg == pytest.approx(full, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("model", [PointMass(1e-9), Sphere(R_C, SILICON),
+                                       Cylinder(R_C, 2 * R_C, SILICON)],
+                             ids=lambda m: type(m).__name__)
+    def test_separable_refuses_non_box_bodies(self, model):
+        # only bodies whose factors are all lines have a product-grid lattice
+        with pytest.raises(NotSeparable):
+            gamma_cm_discrete_separable(model, CSL, R_C / 6)
 
     def test_converges_to_quadrature(self):
         quad = QuadratureSpec()
