@@ -20,28 +20,29 @@ exp(-i k . offset).
 
 The shape contract: a new shape is one MassModel class here, listed in
 SHAPES.  Its dataclass fields are its spec fields (core reads, validates
-and writes them by walking the fields), and it defines its spec `kind`,
-`extent_fields` (the spec field that sets each extent), `total_mass`,
-`factors` and `i3_scale`.  `factors` are the independent Factors of the
-normalized form factor of the centred body, in x, y, z order: lines
-(d = 1) of one wavevector component, a disc (d = 2) or ball (d = 3) of
-the radius of theirs.  A cuboid or stack has three lines, a cylinder a
-disc and a line, a sphere a ball, a point mass a ball of extent 0 with
-|f| = 1.  Each factor carries its extent (a line's length, a disc's or
-ball's diameter) and a line its profile (layer widths and densities,
-bottom to top); MassModel derives from them the body's `extents` and
-`inside`, the cell-centre test of the lattice fill, and the lattice its
-per-plane densities and product grid.  I3 of heating is one formula
-over the factors' Gaussian moments, A_f of |f|^2 and B_f of u^2 |f|^2
-(u = r_c k): sum_f B_f prod_(g != f) A_g (_i3).  shape_integral feeds it
-each factor's closed-form `moments` from the special kernels, scaled by
-`i3_scale`; the Monte Carlo of heating feeds it sampled ones.  A stack
-overrides _centred_mu, a point mass (a single lattice site) mu.
+and writes them by walking the fields), and it defines only its spec
+`kind`, `extent_fields` (the spec field that sets each extent),
+`total_mass` and `factors`.  `factors` are the independent Factors of the
+normalized form factor of the centred body, in x, y, z order, each plain
+data (dim, extent, profile): a line (dim 1) of one wavevector component,
+a disc (2) or ball (3) of the radius of theirs; the extent is a line's
+length, a disc's or ball's diameter, and a line's profile its layer
+widths and densities, bottom to top.  A cuboid or stack has three lines,
+a cylinder a disc and a line, a sphere a ball, a point mass a ball of
+diameter 0.  A factor's form, its closed-form Gaussian moments and its
+I3 scale follow from dim alone.  MassModel derives from the factors the
+body's mu, `extents` and `inside` (the cell-centre test of the lattice
+fill), and the lattice its per-plane densities and product grid.  I3 of
+heating is one formula over the factors' moments, A_f of |f|^2 and B_f of
+u^2 |f|^2 (u = r_c k): sum_f B_f prod_(g != f) A_g (_i3).  shape_integral
+feeds it each factor's closed-form moments from the special kernels,
+scaled by the product of the factors' scales; the Monte Carlo of heating
+feeds it sampled ones.  A point mass (a single lattice site at
+`position`) overrides mu.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from math import nan, pi, prod
 from typing import ClassVar, NamedTuple
@@ -73,23 +74,48 @@ class Layer:
 
 
 class Factor(NamedTuple):
-    """One independent factor of the normalized form factor of the centred body."""
+    """One independent factor of the normalized form factor of the centred
+    body: plain data, whose form, moments and I3 scale follow from dim."""
 
     dim: int  # 1 line, 2 disc, 3 ball
-    form: Callable  # of the component (line) or radius (disc, ball) in 1/m
-    moments: Callable  # of r_c: closed-form (A, B), normalized as the kernel gives them
     extent: float  # m: a line's length, a disc's or ball's diameter
     profile: tuple | None = None  # a line's (widths, densities), bottom to top
 
+    def form(self, k):
+        """The factor at its component (line) or radius (disc, ball) k in 1/m."""
+        if self.dim > 1:
+            kernel = two_j1_over_x if self.dim == 2 else sphere_form_kernel
+            return kernel(k * (0.5 * self.extent))
+        widths, densities = self.profile
+        if len(widths) == 1:
+            return sinc(0.5 * k * self.extent)
+        # sum_j rho_j t_j exp(-i k zbar_j) sinc(k t_j / 2) over sum_j rho_j t_j:
+        # each term the closed-form integral over its layer, finite at k = 0
+        out = np.zeros(np.shape(k), dtype=complex)
+        z = -0.5 * self.extent
+        for t, rho in zip(widths, densities):
+            out += rho * t * np.exp(-1j * k * (z + 0.5 * t)) * sinc(0.5 * k * t)
+            z += t
+        return out / sum(rho * t for t, rho in zip(widths, densities))
 
-def _line(widths, densities=(1.0,), form=None) -> Factor:
-    """A line of uniform layers side by side; form defaults to the sinc of
-    one layer."""
-    length = sum(widths)
-    if form is None:
-        form = lambda k: sinc(0.5 * k * length)
-    return Factor(1, form, lambda r_c: _profile_ab([w / r_c for w in widths], densities),
-                  length, (tuple(widths), tuple(densities)))
+    def moments(self, r_c: float) -> tuple[float, float]:
+        """Closed-form (A, B) at r_c, normalized as the kernel gives them."""
+        if self.dim == 1:
+            widths, densities = self.profile
+            return _profile_ab([w / r_c for w in widths], densities)
+        s = 0.5 * self.extent / r_c
+        return _disc_ab(s) if self.dim == 2 else (nan, _sphere_reduction(s))
+
+    @property
+    def scale(self) -> float:
+        """The I3 factor the moments leave out: a disc's azimuth, a ball's
+        point-mass value."""
+        return (1.0, 2.0 * pi, I3_FREE)[self.dim - 1]
+
+
+def _line(widths, densities=(1.0,)) -> Factor:
+    """A line of uniform layers side by side."""
+    return Factor(1, sum(widths), (tuple(widths), tuple(densities)))
 
 
 def _i3(moments, scale: float = 1.0) -> float:
@@ -109,7 +135,6 @@ class MassModel:
 
     kind: ClassVar[str]
     extent_fields: ClassVar[tuple[str, ...]]
-    i3_scale: ClassVar[float] = 1.0
 
     @property
     def extents(self) -> tuple[float, ...]:
@@ -122,15 +147,12 @@ class MassModel:
         return [(f, [next(comps) for _ in range(f.dim)]) for f in self.factors]
 
     def mu(self, k: np.ndarray) -> np.ndarray:
-        """mu_tilde at the wavevectors k of shape (..., 3), offset included."""
-        return _translated(self._centred_mu(k[..., 0], k[..., 1], k[..., 2]), k, self.offset)
-
-    def _centred_mu(self, kx, ky, kz):
-        """The mass times the factors, each of its component or radius."""
+        """mu_tilde at the wavevectors k of shape (..., 3), offset included:
+        the mass times the factors, each of its component or radius."""
         out = 1.0
-        for factor, ks in self._split(kx, ky, kz):
-            out = out * factor.form(ks[0] if len(ks) == 1 else np.sqrt(sum(k * k for k in ks)))
-        return self.total_mass * out
+        for factor, ks in self._split(k[..., 0], k[..., 1], k[..., 2]):
+            out = out * factor.form(ks[0] if len(ks) == 1 else np.sqrt(sum(c * c for c in ks)))
+        return _translated(self.total_mass * out, k, self.offset)
 
     def inside(self, x, y, z):
         """The cell-centre test of the lattice fill, on centred coordinates."""
@@ -143,7 +165,8 @@ class MassModel:
 
     def shape_integral(self, r_c: float) -> float:
         """I3(r_c) of heating, closed form: _i3 of the factors' moments."""
-        return _i3([factor.moments(r_c) for factor in self.factors], self.i3_scale)
+        factors = self.factors
+        return _i3([f.moments(r_c) for f in factors], prod(f.scale for f in factors))
 
 
 @dataclass(frozen=True)
@@ -153,8 +176,7 @@ class PointMass(MassModel):
     offset: tuple[float, float, float] = _ORIGIN
     kind = "point"
     extent_fields = ()  # nothing to check: a point has no extent
-    factors = (Factor(3, lambda k: 1.0, lambda r_c: (nan, 1.0), 0.0),)
-    i3_scale = I3_FREE
+    factors = (Factor(3, 0.0),)  # a ball of diameter 0
 
     @property
     def total_mass(self) -> float:
@@ -191,7 +213,6 @@ class Sphere(MassModel):
     offset: tuple[float, float, float] = _ORIGIN
     kind = "sphere"
     extent_fields = ("radius",) * 3
-    i3_scale = I3_FREE
 
     @property
     def total_mass(self) -> float:
@@ -199,9 +220,7 @@ class Sphere(MassModel):
 
     @property
     def factors(self) -> tuple[Factor]:
-        return (Factor(3, lambda k: sphere_form_kernel(k * self.radius),
-                       lambda r_c: (nan, _sphere_reduction(self.radius / r_c)),
-                       2.0 * self.radius),)
+        return (Factor(3, 2.0 * self.radius),)
 
 
 @dataclass(frozen=True)
@@ -214,7 +233,6 @@ class Cylinder(MassModel):
     offset: tuple[float, float, float] = _ORIGIN
     kind = "cylinder"
     extent_fields = ("radius", "radius", "height")
-    i3_scale = 2.0 * pi  # _disc_ab gives radial moments, without the azimuth
 
     @property
     def total_mass(self) -> float:
@@ -222,9 +240,7 @@ class Cylinder(MassModel):
 
     @property
     def factors(self) -> tuple[Factor, Factor]:
-        return (Factor(2, lambda k: two_j1_over_x(k * self.radius),
-                       lambda r_c: _disc_ab(self.radius / r_c), 2.0 * self.radius),
-                _line((self.height,), (self.material.density,)))
+        return Factor(2, 2.0 * self.radius), _line((self.height,), (self.material.density,))
 
 
 @dataclass(frozen=True)
@@ -244,38 +260,14 @@ class LayeredStack(MassModel):
 
     @property
     def total_mass(self) -> float:
-        return float(self._area_density() * (self.lx * self.ly))
-
-    def _area_density(self) -> float:
-        return sum(layer.material.density * layer.thickness for layer in self.layers)
-
-    def _z_sum(self, kz: np.ndarray) -> np.ndarray:
-        """Sum_j rho_j * t_j * exp(-i kz zbar_j) * sinc(kz t_j / 2), in kg/m^2.
-
-        Each term is the closed-form integral of rho_j exp(-i kz z) over its
-        layer; the sinc form stays finite through kz = 0.
-        """
-        out = np.zeros(kz.shape, dtype=complex)
-        z = -0.5 * self.height
-        for layer in self.layers:
-            t = layer.thickness
-            zbar = z + 0.5 * t
-            out += layer.material.density * t * np.exp(-1j * kz * zbar) * sinc(0.5 * kz * t)
-            z += t
-        return out
-
-    def _centred_mu(self, kx, ky, kz):
-        return (
-            self.lx * sinc(0.5 * kx * self.lx) * self.ly * sinc(0.5 * ky * self.ly)
-            * self._z_sum(kz)
-        )
+        area_density = sum(layer.material.density * layer.thickness for layer in self.layers)
+        return float(area_density * (self.lx * self.ly))
 
     @property
     def factors(self) -> tuple[Factor, Factor, Factor]:
         return _line((self.lx,)), _line((self.ly,)), _line(
             [layer.thickness for layer in self.layers],
-            [layer.material.density for layer in self.layers],
-            lambda kz: self._z_sum(kz) / self._area_density())
+            [layer.material.density for layer in self.layers])
 
 
 SHAPES = {cls.kind: cls for cls in (PointMass, Cuboid, Sphere, Cylinder, LayeredStack)}
@@ -341,11 +333,11 @@ def separable_factors(model: MassModel, axis: str, k_axis):
     variants raise NotSeparable.  Each factor has magnitude <= 1 and
     equals 1 at k = 0 (up to the translation phase).
     """
-    try:
-        ax = _AXES[axis]
-    except KeyError:
+    if not (isinstance(axis, str) and axis in _AXES):
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-    factor = _lines(model)[ax]
+    ax = _AXES[axis]
     k = np.asarray(k_axis, dtype=float)
-    out = _translated(factor.form(k), k, model.offset[ax])
+    if not np.all(np.isfinite(k)):
+        raise ValueError("wavevector components must be finite")
+    out = _translated(_lines(model)[ax].form(k), k, model.offset[ax])
     return out if out.ndim else complex(out)

@@ -528,7 +528,11 @@ def test_parser_reuse_keeps_output(capsys):
 # geometry.  The `heat --mc` payloads of the cuboid, stack and cylinder
 # specs were re-recorded when the Monte Carlo moved to one estimator of the
 # factors' moments (shared draws per factor in place of separate A and B
-# batches per axis, or 3D wavevectors for the cylinder).  Commands that run
+# batches per axis, or 3D wavevectors for the cylinder).  The `mu --axis x`
+# sweeps of scan, stack16 and stack_offset were re-recorded when a stack's
+# form factor became the mass times its three line factors (the product's
+# operand order moved their last digit; test_axis_sweep_matches_mpmath
+# holds them to an independent reference).  Commands that run
 # none of those emit the same bytes; the rest agree with the recording to
 # rounding.
 RECORDED = json.loads((Path(__file__).resolve().parent / "data" /
@@ -573,3 +577,24 @@ def test_payloads_match_recording(capsys, record):
         # the --at rows include (1e-300, 0, 1e3), whose sinc arguments lie
         # below the former series switch: a few ulp from the recording there
         _assert_payloads_agree(json.loads(out), json.loads(record["stdout"]))
+
+
+@pytest.mark.parametrize("spec", ["scan.json", "stack16.json", "stack_offset.json"])
+def test_axis_sweep_matches_mpmath(capsys, spec):
+    # the recorded `mu --axis x` bytes of the stacks, against the x factor
+    # sinc(kx lx / 2) exp(-i kx offset_x) at 30 digits, to ROUNDED_FIELDS
+    import mpmath as mp
+
+    body = json.loads((SPECS / spec).read_text())["mass_model"]
+    lx, ox = mp.mpf(body["lx"]), mp.mpf(body.get("offset", [0.0])[0])
+    code, out, _ = run(capsys, "mu", "--spec", str(SPECS / spec), "--axis", "x",
+                       "--k-min", "0", "--k-max", "3e7", "--num", "9")
+    assert code == 0
+    with mp.workdps(30):
+        for row in json.loads(out)["result"]["rows"]:
+            kx = mp.mpf(row["kx"])
+            half = kx * lx / 2
+            want = (mp.sin(half) / half if half else mp.mpf(1)) * mp.expj(-kx * ox)
+            for field, value in (("re", want.real), ("im", want.imag),
+                                 ("abs_norm", abs(want))):
+                assert abs(row[field] - value) <= ROUNDED_FIELDS[field][1]

@@ -18,7 +18,7 @@ from cslheat import (
     separable_factors,
     total_mass,
 )
-from cslheat.geometry import _i3
+from cslheat.geometry import I3_FREE, _i3
 
 from conftest import R_C, mu_oracle, random_k, random_model
 
@@ -264,8 +264,14 @@ class TestSeparableFactors:
             separable_factors(model, "x", 1.0)
 
     def test_bad_axis(self):
-        with pytest.raises(ValueError):
-            separable_factors(Cuboid(1e-7, 1e-7, 1e-7, SILICON), "w", 1.0)
+        for axis in ("w", "", "xy", ["x"], ("x",), 0, None):
+            with pytest.raises(ValueError, match="axis must be one of"):
+                separable_factors(Cuboid(1e-7, 1e-7, 1e-7, SILICON), axis, 1.0)
+
+    def test_non_finite_k(self):
+        for k in (np.nan, np.inf, -np.inf, [0.0, np.nan]):
+            with pytest.raises(ValueError, match="wavevector components must be finite"):
+                separable_factors(Cuboid(1e-7, 1e-7, 1e-7, SILICON), "x", k)
 
 
 def test_extents():
@@ -305,6 +311,19 @@ class TestFactors:
         assert start == 3
         want = np.abs(normalized_form_factor(model, k))
         np.testing.assert_allclose(np.abs(product), want, rtol=1e-13, atol=1e-14)
+
+    def test_factors_are_data(self):
+        # a factor is (dim, extent, profile): equal bodies give equal,
+        # hashable factors and bitwise the same shape integral
+        m = Material("a", 1500.0)
+        cuboid = Cuboid(2e-7, 3e-7, 4e-7, m)
+        stack = LayeredStack(2e-7, 3e-7, (Layer(m, 4e-7),))
+        assert cuboid.factors == stack.factors
+        assert hash(cuboid.factors) == hash(stack.factors)
+        assert cuboid.shape_integral(R_C) == stack.shape_integral(R_C)
+        point = PointMass(1e-9)
+        assert point.factors == Sphere(0.0, SILICON).factors  # a ball of diameter 0
+        assert point.shape_integral(R_C) == I3_FREE
 
     def test_formula_keeps_closed_form_operand_order(self, rng):
         # bit for bit the box and cylinder expressions the closed forms used
