@@ -86,9 +86,12 @@ BUILTIN_MATERIALS = {
 SPEC_VERSION = 1
 
 _LAYER_KEYS = ("material", "thickness")
-# pair sums take O(layers^2) time (special._pair_sums): at most MAX_PAIRS
-# layer pairs in a design and 2 MAX_PAIRS layers in a spec stack, where
-# `heat` took 36 s (series branch, height < 2 r_c) and 14 s on 2 cores
+# at most MAX_PAIRS layer pairs in a design and 2 MAX_PAIRS layers in a
+# spec stack.  Designs repeat one pair of layers, whose pair sums fold into
+# O(pairs) lag sums (special._profile_ab), so they are no longer O(pairs^2);
+# an aperiodic spec stack still takes O(layers^2) time (special._pair_sums),
+# whose dense sum at the cap took 36 s in `heat` (series branch, height
+# < 2 r_c) and 14 s otherwise, on 2 cores
 MAX_PAIRS = 10_000
 # Monte-Carlo runs in time linear in the samples (0.25-0.32 s CPU per 2e5
 # samples of a stack): the cap keeps a spec's heat --mc to about 15 s

@@ -559,6 +559,34 @@ def test_lattice_check_bytes_independent_of_blas_threads():
     assert len(digests) == 1
 
 
+def test_periodic_stack_moments_independent_of_blas_threads():
+    # specs/stack16.json's layers repeated to 3,008: folded into lag sums,
+    # reduced by einsum and fsum in a fixed order, with no BLAS reduction
+    script = ("import json, sys\n"
+              "from cslheat.special import _profile_ab\n"
+              "doc = json.load(open(sys.argv[1]))\n"
+              "layers = doc['mass_model']['layers'] * 188\n"
+              "r_c = doc['csl']['r_c']\n"
+              "a, b = _profile_ab([layer['thickness'] / r_c for layer in layers],\n"
+              "                   [layer['material']['density'] for layer in layers])\n"
+              "print(a.hex(), b.hex())\n")
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", script, str(SPECS / "stack16.json")],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                     PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                                 os.environ.get("PYTHONPATH", "")])),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for threads in ("1", "2")
+    ]  # both at once: each spends its time importing numpy and scipy
+    outputs = set()
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        outputs.add(out)
+    assert len(outputs) == 1
+
+
 def test_missing_key_named_independently_of_hash_seed():
     # with several keys missing, the first in schema order is named, not
     # the first in a set's hash-seeded iteration order

@@ -532,9 +532,13 @@ def test_parser_reuse_keeps_output(capsys):
 # sweeps of scan, stack16 and stack_offset were re-recorded when a stack's
 # form factor became the mass times its three line factors (the product's
 # operand order moved their last digit; test_axis_sweep_matches_mpmath
-# holds them to an independent reference).  Commands that run
-# none of those emit the same bytes; the rest agree with the recording to
-# rounding.
+# holds them to an independent reference).  `optimize optimize.json` and
+# `discriminate discriminate.json` were re-recorded when periodic stacks
+# of 32 layers or more folded into lag sums (the 16-pair design's
+# gamma_cm moved in its last digits, and with it discriminate's spread;
+# old and new values are each within 4e-15 of 40-digit mpmath).  Commands
+# that run none of those emit the same bytes; the rest agree with the
+# recording to rounding.
 RECORDED = json.loads((Path(__file__).resolve().parent / "data" /
                        "cli_payloads.json").read_text())
 # fields computed by the rewritten routes, with the agreement each holds to

@@ -7,6 +7,7 @@ The quadrature oracle (conftest.i3_quadrature) integrates the analytic
 form factors instead and so checks the forms themselves.
 """
 
+import math
 import sys
 
 import mpmath as mp
@@ -32,9 +33,10 @@ from cslheat import (
     lambda_bound,
     optimize_layers,
     scan_rc,
+    special,
 )
 from cslheat.heating import I3_FREE, REL_ERROR
-from cslheat.special import _profile_ab
+from cslheat.special import _FOLD_MIN, _cell, _profile_ab
 from conftest import i3_quadrature
 
 QUAD = QuadratureSpec()
@@ -45,30 +47,63 @@ EXTENTS = [1e-6, 1e-3, 0.3, 2.0 * (1 - 1e-6), 2.0 * (1 + 1e-6), 30.0, 1e3, 1e5]
 DPS = 60
 
 
+def _jumps_mp(widths, densities):
+    """Edges and density jumps of a layered 1D profile, in mpmath."""
+    rho = [mp.mpf(float(r)) for r in densities]
+    z = [mp.mpf(0)]
+    for w in widths:
+        z.append(z[-1] + mp.mpf(float(w)))
+    c = [rho[0]] + [rho[i + 1] - rho[i] for i in range(len(rho) - 1)] + [-rho[-1]]
+    return z, c, mp.fsum(r * mp.mpf(float(w)) for r, w in zip(rho, widths))
+
+
+def _ab_mp(weight, sigma):
+    """A and B from the pair weights sum c_p c_q at each pair distance.
+
+    Past `far`, erf(d/2) is 1 to below the working precision, as
+    erfc(x) < e^(-x^2), so only nearer pairs evaluate it.
+    """
+    rt_pi = mp.sqrt(mp.pi)
+    far = 2 * mp.sqrt((mp.mp.dps + 5) * mp.log(10))
+    sum_a = mp.fsum(
+        w * (rt_pi * d * (mp.erf(d / 2) if d < far else 1) + 2 * mp.exp(-d * d / 4))
+        for d, w in weight.items()
+    )
+    sum_b = mp.fsum(w * mp.exp(-d * d / 4) for d, w in weight.items())
+    return -rt_pi * sum_a / sigma**2, rt_pi * sum_b / sigma**2
+
+
 def _profile_ab_mp(widths, densities):
     """A and B of a layered 1D profile by the pair-of-jumps sum, in mpmath.
 
     Pairs at the same distance share one kernel evaluation, so periodic
     stacks of hundreds of layers stay cheap.
     """
-    t = [mp.mpf(float(w)) for w in widths]
-    rho = [mp.mpf(float(r)) for r in densities]
-    z = [mp.mpf(0)]
-    for w in t:
-        z.append(z[-1] + w)
-    c = [rho[0]] + [rho[i + 1] - rho[i] for i in range(len(rho) - 1)] + [-rho[-1]]
+    z, c, sigma = _jumps_mp(widths, densities)
     weight = {}
     for p in range(len(z)):
         for q in range(p, len(z)):
             d = z[q] - z[p]
             weight[d] = weight.get(d, 0) + (1 if p == q else 2) * c[p] * c[q]
-    rt_pi = mp.sqrt(mp.pi)
-    sum_a = mp.fsum(
-        w * (rt_pi * d * mp.erf(d / 2) + 2 * mp.exp(-d * d / 4)) for d, w in weight.items()
-    )
-    sum_b = mp.fsum(w * mp.exp(-d * d / 4) for d, w in weight.items())
-    sigma = mp.fsum(r * w for r, w in zip(rho, t))
-    return -rt_pi * sum_a / sigma**2, rt_pi * sum_b / sigma**2
+    return _ab_mp(weight, sigma)
+
+
+def _profile_ab_lag_mp(widths, densities, copies):
+    """_profile_ab_mp of `copies` copies of one cell of layers side by side.
+
+    By the lag identity c^T K c = n S_0 + sum_(l >= 1) 2 (n - l) S_l with
+    S_l = sum_pq c_p c_q K(z_p - z_q + l P) over the cell's edges, O(n m^2)
+    for n copies of m layers in place of the (nm)^2 pairs.
+    """
+    z, c, sigma = _jumps_mp(widths, densities)
+    weight = {}
+    for lag in range(copies):
+        w_lag = copies if lag == 0 else 2 * (copies - lag)
+        for p in range(len(z)):
+            for q in range(len(z)):
+                d = abs(z[p] - z[q] + lag * z[-1])
+                weight[d] = weight.get(d, 0) + w_lag * c[p] * c[q]
+    return _ab_mp(weight, copies * sigma)
 
 
 def _disc_ab_mp(s):
@@ -157,6 +192,108 @@ def test_random_64_layer_profile_matches_mpmath(height):
         a_mp, b_mp = _profile_ab_mp(t, rho)
         assert abs(a - a_mp) <= REL_ERROR * a_mp
         assert abs(b - b_mp) <= REL_ERROR * b_mp
+
+
+# cells of a periodic profile: layer fractions of the cell width, densities
+CELLS = {
+    1: ([1.0], [DENSE.density]),
+    2: ([0.4, 0.6], [19320.0, 2329.0]),
+    3: ([0.2, 0.5, 0.3], [2500.0, 250.0, 8960.0]),
+}
+
+
+def _periodic(cell, copies, height):
+    """Widths and densities of `copies` copies of CELLS[cell], `height` high."""
+    fractions, rho = CELLS[cell]
+    return [f * height / copies for f in fractions] * copies, rho * copies
+
+
+def _assert_ab_match(widths, densities, ab_mp):
+    a, b = _profile_ab(widths, densities)
+    assert abs(a - ab_mp[0]) <= REL_ERROR * ab_mp[0]
+    assert abs(b - ab_mp[1]) <= REL_ERROR * ab_mp[1]
+
+
+@pytest.mark.parametrize("height", [0.5, 2.0 * (1 - 1e-6), 2.0 * (1 + 1e-6), 2.5, 5.0, 30.0,
+                                    200.0, 1e4])
+@pytest.mark.parametrize("cell, copies", [(1, 8), (1, 128), (2, 8), (2, 128), (3, 8), (3, 85)])
+def test_periodic_profile_matches_mpmath(cell, copies, height):
+    # both sides of _FOLD_MIN, and of the thin-cell switch at a cell width of 2
+    t, rho = _periodic(cell, copies, height)
+    with mp.workdps(30):
+        _assert_ab_match(t, rho, _profile_ab_lag_mp(t[:cell], rho[:cell], copies))
+
+
+@pytest.mark.parametrize("height", [2.5, 2.000002])
+def test_periodic_1024_layer_profile_matches_mpmath(height):
+    t, rho = [height / 1024] * 1024, [19320.0, 2329.0] * 512
+    with mp.workdps(30):
+        _assert_ab_match(t, rho, _profile_ab_lag_mp(t[:2], rho[:2], 512))
+
+
+@pytest.mark.parametrize("cell, copies, height", [(2, 64, 2.5), (3, 20, 0.7), (1, 40, 30.0)])
+def test_lag_reference_matches_pair_reference(cell, copies, height):
+    t, rho = _periodic(cell, copies, height)
+    with mp.workdps(30):
+        lag = _profile_ab_lag_mp(t[:cell], rho[:cell], copies)
+        pair = _profile_ab_mp(t, rho)
+        for x, y in zip(lag, pair):
+            assert abs(x - y) <= 1e-25 * y
+
+
+@pytest.mark.parametrize("cell", [1, 2, 3])
+def test_fold_finds_the_cell(cell):
+    t, rho = _periodic(cell, _FOLD_MIN, 5.0)
+    assert _cell(t, rho) == cell
+    # a cell that repeats a shorter pattern inside it is still the cell
+    t, rho = [0.1, 0.2, 0.1, 0.3] * _FOLD_MIN, [1.0, 2.0, 1.0, 2.0] * _FOLD_MIN
+    assert _cell(t, rho) == 4
+
+
+def test_short_periodic_profiles_stay_one_cell(monkeypatch):
+    below, at = _periodic(2, _FOLD_MIN // 2 - 1, 5.0), _periodic(2, _FOLD_MIN // 2, 5.0)
+    assert _cell(*below) == _FOLD_MIN - 2
+    assert _cell(*at) == 2
+    folded = [_profile_ab(*below), _profile_ab(*at)]
+    monkeypatch.setattr(special, "_cell", lambda widths, densities: len(widths))
+    assert _profile_ab(*below) == folded[0]
+    a, b = _profile_ab(*at)
+    assert abs(folded[1][0] - a) <= 1e-13 * a and abs(folded[1][1] - b) <= 1e-13 * b
+
+
+@pytest.mark.parametrize("break_period", ["nudge", "partial"])
+def test_broken_periodic_profile_is_aperiodic(break_period):
+    t, rho = _periodic(2, 40, 4.0)
+    if break_period == "nudge":
+        t[37] = math.nextafter(t[37], math.inf)  # one thickness 1 ulp thicker
+    else:
+        t, rho = t + t[:1], rho + rho[:1]  # 40.5 cells
+    assert _cell(t, rho) == len(t)
+    with mp.workdps(30):
+        _assert_ab_match(t, rho, _profile_ab_mp(t, rho))
+
+
+def test_fold_matches_unfolded_sum(monkeypatch):
+    # periodic profiles of up to 2,000 layers with random cells, through
+    # every fold branch (cell, copies, height: a thin cell, the series
+    # kernels below 2 r_c high, a one-layer cell, thick cells), against the
+    # dense pair sum over the expanded edges.  The tolerance is the dense
+    # sum's own error: on the first profile it is off 30-digit mpmath by
+    # 7.3e-12 in A, where the fold is off by 1e-16 (the fold's accuracy on
+    # such profiles is held to mpmath by the 1,024-layer test above)
+    rng = np.random.default_rng(11)
+    profiles = []
+    for cell, copies, height in [(2, 1000, 5.0), (4, 250, 1.9), (1, 1000, 300.0),
+                                 (5, 200, 2500.0), (3, 40, 90.0)]:
+        fractions = rng.uniform(0.1, 1.0, cell)
+        t = (fractions / fractions.sum() * height / copies).tolist() * copies
+        profiles.append((t, rng.uniform(100.0, 2e4, cell).tolist() * copies))
+    folded = [_profile_ab(t, rho) for t, rho in profiles]
+    monkeypatch.setattr(special, "_cell", lambda widths, densities: len(widths))
+    for (t, rho), (a, b) in zip(profiles, folded):
+        a_dense, b_dense = _profile_ab(t, rho)
+        assert abs(a - a_dense) <= 1e-11 * a_dense
+        assert abs(b - b_dense) <= 1e-11 * b_dense
 
 
 @pytest.mark.parametrize("extent", [1e-6, 1e5])
