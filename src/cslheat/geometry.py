@@ -314,8 +314,12 @@ def mu_tilde(model: MassModel, k):
 
 
 def normalized_form_factor(model: MassModel, k):
-    """mu_tilde(model, k)/total_mass(model): dimensionless, magnitude <= 1."""
-    return mu_tilde(model, k) / total_mass(model)
+    """mu_tilde(model, k)/total_mass(model): dimensionless, magnitude <= 1;
+    each part divided by M (complex division rounds via 1/M: |f(0)| < 1)."""
+    mu, mass = np.asarray(mu_tilde(model, k)), total_mass(model)
+    out = np.empty_like(mu)
+    out.real, out.imag = mu.real / mass, mu.imag / mass
+    return out if out.ndim else complex(out)
 
 
 def _lines(model: MassModel) -> tuple[Factor, ...]:

@@ -10,6 +10,8 @@ takes exactly one of its two branches.
 The moment kernels _profile_ab (1D layered profile), _disc_ab (disc) and
 _sphere_reduction (ball) are the pieces of each shape's closed-form I3 in
 geometry (see heating); each turns to a series where it would cancel.
+Every series is one Horner helper in numpy polyval's order (so its bits),
+and a one-layer profile takes its two-edge closed form in floats.
 
 A layered profile that repeats one cell of layers folds its pair sums
 into lag sums over the cell's edges (_profile_ab), n (m + 1)^2 kernel
@@ -37,9 +39,7 @@ import numpy as np
 # the series branch must extend to x = 1 (14 terms converge to < 1e-30
 # there); switching at 1e-4 would leave ~1e-8 errors just above the switch.
 _SPHERE_SWITCH = 1.0
-_SPHERE_COEF = np.array(
-    [3.0 * (-1) ** m * (2 * m + 2) / factorial(2 * m + 3) for m in range(14)]
-)
+_SPHERE_COEF = tuple(3.0 * (-1) ** m * (2 * m + 2) / factorial(2 * m + 3) for m in range(14))
 
 # sin(x)/x and 2 J1(x)/x round to 1 below here (their x^2 terms are under
 # eps/4); setting 1 also avoids J1 of subnormal x, which underflows to 0
@@ -51,9 +51,9 @@ _RT_PI = sqrt(pi)
 # g - 1 + x^2/4 are summed as series from x^4 on (< 1e-19 at x = 2): the
 # direct sums cancel to ~eps / width^2, or ~eps * layers for thin layers.
 _PROFILE_SWITCH = 2.0
-_PHI_SERIES = np.array([(-1) ** (k - 1) / (4.0 ** (k - 1) * factorial(k - 1)
-                                           * 2 * k * (2 * k - 1)) for k in range(2, 22)])
-_G_SERIES = np.array([(-1) ** k / (4.0**k * factorial(k)) for k in range(2, 22)])
+_PHI_SERIES = tuple((-1) ** (k - 1) / (4.0 ** (k - 1) * factorial(k - 1) * 2 * k * (2 * k - 1))
+                    for k in range(2, 22))
+_G_SERIES = tuple((-1) ** k / (4.0**k * factorial(k)) for k in range(2, 22))
 _PAIR_BLOCK = 1 << 20  # pair-matrix entries per block: bounds memory
 
 # Periodic profiles fold into lag sums (_folded_sums) from _FOLD_MIN layers
@@ -80,15 +80,24 @@ _TAIL = [4.4 / sqrt(factorial(k) * 2.0**k) for k in range(_LAG_ORDER + 1)]
 # integrated against u e^(-u^2) (A) and u^3 e^(-u^2) (B); the direct
 # forms cancel to ~2 eps / s^2, so the series runs to s = 1.
 _DISC_SWITCH = 1.0
-_A_PERP_SERIES = np.array([(-1) ** k * factorial(2 * k + 2) / (
-    2 * factorial(k + 2) * factorial(k + 1) ** 2 * 4.0**k) for k in range(24)])
-_B_PERP_SERIES = np.array([(-1) ** k * factorial(2 * k + 2) / (
-    2 * factorial(k) * factorial(k + 2) * factorial(k + 1) * 4.0**k) for k in range(24)])
+_A_PERP_SERIES = tuple((-1) ** k * factorial(2 * k + 2) / (
+    2 * factorial(k + 2) * factorial(k + 1) ** 2 * 4.0**k) for k in range(24))
+_B_PERP_SERIES = tuple((-1) ** k * factorial(2 * k + 2) / (
+    2 * factorial(k) * factorial(k + 2) * factorial(k + 1) * 4.0**k) for k in range(24))
 
 # ball: 6 sum_m (-1)^m (m+1) s^(2m) / (m+3)!, below s = 1 where the direct
 # form cancels to ~12 eps / s^6
 _BALL_SWITCH = 1.0
-_BALL_SERIES = np.array([6.0 * (-1) ** m * (m + 1) / factorial(m + 3) for m in range(25)])
+_BALL_SERIES = tuple(6.0 * (-1) ** m * (m + 1) / factorial(m + 3) for m in range(25))
+
+
+def _horner(x, coef):
+    """sum_k coef[k] x^k for a float or an array x, in the order of numpy's
+    polyval (so to its bits): Horner's rule from coef[-1] + x * 0."""
+    out = coef[-1] + x * 0
+    for c in coef[-2::-1]:
+        out = c + out * x
+    return out
 
 
 def _ratio_or_one(num, x):
@@ -114,7 +123,7 @@ def sphere_form_kernel(x):
     out = np.empty_like(x)
     small = np.abs(x) < _SPHERE_SWITCH
     xs, xl = x[small], x[~small]
-    out[small] = np.polynomial.polynomial.polyval(xs * xs, _SPHERE_COEF)
+    out[small] = _horner(xs * xs, _SPHERE_COEF)
     out[~small] = 3.0 * (np.sin(xl) - xl * np.cos(xl)) / xl**3
     return out if out.ndim else float(out)
 
@@ -133,14 +142,13 @@ def two_j1_over_x(x):
     return _ratio_or_one(2.0 * j1(x), x)
 
 
-def _kernels(d: np.ndarray, series: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The A and B pair kernels at distances d: Phi and g, or their series
-    parts Phi - 2 - x^2/2 and g - 1 + x^2/4."""
+def _kernels(d, series: bool):
+    """The A and B pair kernels at distances d (an array or a float): Phi
+    and g, or their series parts Phi - 2 - x^2/2 and g - 1 + x^2/4."""
     if series:
         d2 = d * d
         d4 = d2 * d2
-        return (d4 * np.polynomial.polynomial.polyval(d2, _PHI_SERIES),
-                d4 * np.polynomial.polynomial.polyval(d2, _G_SERIES))
+        return d4 * _horner(d2, _PHI_SERIES), d4 * _horner(d2, _G_SERIES)
     from scipy.special import erf
 
     kb = np.exp(-0.25 * d * d)
@@ -262,6 +270,15 @@ def _profile_ab(widths, densities) -> tuple[float, float]:
     A = sqrt(pi) (1 - c^T (Phi - 2 - x^2/2) c / sigma^2) and
     B = sqrt(pi) (1/2 + c^T (g - 1 + x^2/4) c / sigma^2).
 
+    One layer of width w has z = (0, w), c = (1, -1) and sigma = w, so
+
+      A = 2 sqrt(pi) (Phi(w) - 2) / w^2,   B = 2 sqrt(pi) (1 - g(w)) / w^2,
+
+    or the same two-edge terms of the series kernels below w = 2.  It is
+    taken in floats, sum = 2 (K(0) - K(w)) then / w / w, with np.exp and
+    scipy's erf on the scalar w: the dense route's operations in its
+    order, so its bits.
+
     A profile that repeats a cell of m layers and width P whole, n times
     (_cell), is the sum of n shifted cells, rho(z) = sum_r rho_cell(z - rP),
     so each of its pair sums folds into lag sums over the cell's m + 1
@@ -288,23 +305,32 @@ def _profile_ab(widths, densities) -> tuple[float, float]:
     kernels above, with their C_2 terms added back where the profile is at
     least 2 r_c high.
     """
-    t = np.asarray(widths, dtype=float)
-    rho = np.asarray(densities, dtype=float)
-    rho = rho / rho.max()
-    sigma = fsum(rho * t)
-    m = _cell(widths, densities)
-    copies = len(t) // m
-    z = np.empty(m + 1)
-    z[0] = 0.0
-    np.cumsum(t[:m], out=z[1:])
-    c = np.empty(m + 1)
-    c[0], c[m] = rho[0], -rho[m - 1]
-    np.subtract(rho[1:m], rho[: m - 1], out=c[1:m])
-    series = z[-1] * copies < _PROFILE_SWITCH
-    if copies == 1:
-        sum_a, sum_b = _pair_sums(z, c, series)
+    if len(widths) == 1:
+        # z = (0, w), c = (1, -1) and sigma = w: c^T K c = 2 (K(0) - K(w)),
+        # with K(0) = (2, 1) direct and 0 in series
+        sigma = float(widths[0])
+        series = sigma < _PROFILE_SWITCH
+        ka, kb = _kernels(sigma, series)
+        sum_a = 2.0 * ((0.0 if series else 2.0) - float(ka))
+        sum_b = 2.0 * ((0.0 if series else 1.0) - float(kb))
     else:
-        sum_a, sum_b = _folded_sums(z, c, copies, series)
+        t = np.asarray(widths, dtype=float)
+        rho = np.asarray(densities, dtype=float)
+        rho = rho / rho.max()
+        sigma = fsum(rho * t)
+        m = _cell(widths, densities)
+        copies = len(t) // m
+        z = np.empty(m + 1)
+        z[0] = 0.0
+        np.cumsum(t[:m], out=z[1:])
+        c = np.empty(m + 1)
+        c[0], c[m] = rho[0], -rho[m - 1]
+        np.subtract(rho[1:m], rho[: m - 1], out=c[1:m])
+        series = z[-1] * copies < _PROFILE_SWITCH
+        if copies == 1:
+            sum_a, sum_b = _pair_sums(z, c, series)
+        else:
+            sum_a, sum_b = _folded_sums(z, c, copies, series)
     sum_a, sum_b = sum_a / sigma / sigma, sum_b / sigma / sigma
     if series:
         return _RT_PI * (1.0 - sum_a), _RT_PI * (0.5 + sum_b)
@@ -315,10 +341,7 @@ def _disc_ab(s: float) -> tuple[float, float]:
     """A_perp = int_0^inf u e^(-u^2) |2 J1(us)/(us)|^2 du and B_perp (u^3)."""
     if s < _DISC_SWITCH:
         s2 = s * s
-        return (
-            float(np.polynomial.polynomial.polyval(s2, _A_PERP_SERIES)),
-            float(np.polynomial.polynomial.polyval(s2, _B_PERP_SERIES)),
-        )
+        return _horner(s2, _A_PERP_SERIES), _horner(s2, _B_PERP_SERIES)
     from scipy.special import i0e, i1e
 
     x = 0.5 * s * s
@@ -330,5 +353,5 @@ def _sphere_reduction(s: float) -> float:
     """Reduction factor of a uniform ball of radius s r_c."""
     y = s * s
     if s < _BALL_SWITCH:
-        return float(np.polynomial.polynomial.polyval(y, _BALL_SERIES))
+        return _horner(y, _BALL_SERIES)
     return 6.0 * ((y - 2.0) + (y + 2.0) * exp(-y)) / y / y / y

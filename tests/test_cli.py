@@ -356,10 +356,19 @@ def test_common_commands_do_not_load_scipy(tmp_path):
     # interpreter's own record of what was imported.
     bad = tmp_path / "bad.json"
     bad.write_text('{"version": 1, "csl": {"lambda": -1, "r_c": 1e-7}}')
+    # a cylinder under both series switches (height 2 r_c, radius r_c): its
+    # line and disc take their series in scalar floats (cube_small's sides,
+    # 0.1 r_c, cover the one-layer line series on its own)
+    thin = tmp_path / "cylinder.json"
+    thin.write_text(json.dumps({
+        "version": 1, "csl": {"lambda": 1e-16, "r_c": 1e-7},
+        "mass_model": {"type": "cylinder", "radius": 9e-8, "height": 1.9e-7,
+                       "material": {"name": "silicon", "density": 2329.0}}}))
     runs = [
         (["heat", "--spec", str(SPECS / "point.json")], 0),
         (["heat", "--spec", str(SPECS / "cube_small.json")], 0),
         (["heat", "--spec", str(SPECS / "sphere.json")], 0),
+        (["heat", "--spec", str(thin)], 0),
         (["bound", "--spec", str(SPECS / "bound.json")], 0),
         (["mu", "--spec", str(SPECS / "stack16.json"), "--at", "1e7,0,2e7"], 0),
         (["lattice-check", "--spec", str(SPECS / "point.json")], 0),
@@ -536,9 +545,13 @@ def test_parser_reuse_keeps_output(capsys):
 # `discriminate discriminate.json` were re-recorded when periodic stacks
 # of 32 layers or more folded into lag sums (the 16-pair design's
 # gamma_cm moved in its last digits, and with it discriminate's spread;
-# old and new values are each within 4e-15 of 40-digit mpmath).  Commands
-# that run none of those emit the same bytes; the rest agree with the
-# recording to rounding.
+# old and new values are each within 4e-15 of 40-digit mpmath).  The
+# `mu --axis x` sweeps of the cuboids, cylinder, sphere, point-mass specs
+# and stack16 and stack_offset were re-recorded when the normalized form
+# factor divided its real and imaginary parts by the mass separately
+# (|f(0)| is now exactly 1; rows moved by at most an ulp, and no record's
+# largest error against 30-digit mpmath grew).  Commands that run none of
+# those emit the same bytes; the rest agree with the recording to rounding.
 RECORDED = json.loads((Path(__file__).resolve().parent / "data" /
                        "cli_payloads.json").read_text())
 # fields computed by the rewritten routes, with the agreement each holds to
@@ -583,22 +596,52 @@ def test_payloads_match_recording(capsys, record):
         _assert_payloads_agree(json.loads(out), json.loads(record["stdout"]))
 
 
-@pytest.mark.parametrize("spec", ["scan.json", "stack16.json", "stack_offset.json"])
-def test_axis_sweep_matches_mpmath(capsys, spec):
-    # the recorded `mu --axis x` bytes of the stacks, against the x factor
-    # sinc(kx lx / 2) exp(-i kx offset_x) at 30 digits, to ROUNDED_FIELDS
+def _x_factor_mp(body, kx):
+    """A body's x factor at kx in mpmath, offset phase included: sinc(kx lx / 2)
+    for a cuboid or stack, 2 J1(x)/x for a cylinder's disc and
+    3 (sin x - x cos x)/x^3 for a ball (x = kx R), 1 for a point mass."""
     import mpmath as mp
 
+    kind, x0 = body["type"], mp.mpf(body.get("offset", [0.0])[0])
+    if kind == "point":
+        x0 += mp.mpf(body.get("position", [0.0])[0])
+        form = mp.mpf(1)
+    elif kind in ("cuboid", "layered_stack"):
+        half = kx * mp.mpf(body["lx"]) / 2
+        form = mp.sin(half) / half if half else mp.mpf(1)
+    else:
+        x = kx * mp.mpf(body["radius"])
+        if not x:
+            form = mp.mpf(1)
+        elif kind == "cylinder":
+            form = 2 * mp.besselj(1, x) / x
+        else:
+            form = 3 * (mp.sin(x) - x * mp.cos(x)) / x**3
+    return form * mp.expj(-kx * x0)
+
+
+# every recorded `mu --axis x` sweep (the re-recorded ones among them)
+AXIS_SWEEP_SPECS = ["scan.json", "stack16.json", "stack_offset.json", "bound.json",
+                    "cube_large.json", "cube_small.json", "plate.json", "cylinder.json",
+                    "sphere.json", "point.json", "point_offset.json", "optimize.json",
+                    "discriminate.json"]
+
+
+@pytest.mark.parametrize("spec", AXIS_SWEEP_SPECS)
+def test_axis_sweep_matches_mpmath(capsys, spec):
+    # the `mu --axis x` rows, recorded and live, against the body's x factor
+    # at 30 digits, to ROUNDED_FIELDS
+    import mpmath as mp
+
+    argv = ["mu", spec, "--axis", "x", "--k-min", "0", "--k-max", "3e7", "--num", "9"]
+    (recorded,) = [record["stdout"] for record in RECORDED if record["argv"] == argv]
     body = json.loads((SPECS / spec).read_text())["mass_model"]
-    lx, ox = mp.mpf(body["lx"]), mp.mpf(body.get("offset", [0.0])[0])
-    code, out, _ = run(capsys, "mu", "--spec", str(SPECS / spec), "--axis", "x",
-                       "--k-min", "0", "--k-max", "3e7", "--num", "9")
+    code, out, _ = run(capsys, "mu", "--spec", str(SPECS / spec), *argv[2:])
     assert code == 0
+    rows = json.loads(out)["result"]["rows"] + json.loads(recorded)["result"]["rows"]
     with mp.workdps(30):
-        for row in json.loads(out)["result"]["rows"]:
-            kx = mp.mpf(row["kx"])
-            half = kx * lx / 2
-            want = (mp.sin(half) / half if half else mp.mpf(1)) * mp.expj(-kx * ox)
+        for row in rows:
+            want = _x_factor_mp(body, mp.mpf(row["kx"]))
             for field, value in (("re", want.real), ("im", want.imag),
                                  ("abs_norm", abs(want))):
                 assert abs(row[field] - value) <= ROUNDED_FIELDS[field][1]

@@ -195,6 +195,14 @@ class TestNormalizedFormFactor:
                 1.0, rel=1e-12, abs=0
             )
 
+    def test_exactly_one_at_zero(self, rng):
+        # mu_tilde(0) is the mass to the bit; dividing the real and imaginary
+        # parts by it separately leaves no rounded 1/M in |f(0)|
+        for _ in range(20):
+            model = random_model(rng)
+            assert normalized_form_factor(model, np.zeros(3)) == 1.0
+            assert normalized_form_factor(model, np.zeros((2, 3))).tolist() == [1.0, 1.0]
+
     def test_point_mass_unit_magnitude(self, rng):
         pm = PointMass(2e-9, (1e-7, 0.0, -1e-7))
         for k in np.atleast_2d(random_k(rng, n=20)):

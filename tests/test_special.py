@@ -4,11 +4,15 @@ Reference values were generated offline with mpmath at 40 digits; they
 bracket each branch switch so accuracy across the switch is pinned.
 """
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from cslheat import special
+from cslheat.special import _horner, _pair_sums, _profile_ab
 from cslheat.special import sinc, sphere_form_kernel, two_j1_over_x
 
 # x, 2*J1(x)/x to 22 digits (mpmath)
@@ -151,3 +155,42 @@ def test_subnormal_arguments_give_one():
 def test_nan_stays_nan(func):
     assert np.isnan(func(float("nan")))
     assert np.isnan(func(np.array([0.0, np.nan, 1e-9]))).tolist() == [False, True, False]
+
+
+# about 10^4 log-spread widths in r_c, and both sides of the series switch
+ONE_LAYER_WIDTHS = np.concatenate([np.logspace(-6, 5, 10_001),
+                                   [2.0, np.nextafter(2.0, 0.0)]]).tolist()
+
+
+def test_one_layer_line_matches_pair_sums_bit_for_bit():
+    # the scalar closed form against the dense route over the two-edge
+    # profile z = (0, w), c = (1, -1), normalized as _profile_ab does
+    z, c = np.zeros(2), np.array([1.0, -1.0])
+    rt_pi, branches = math.sqrt(math.pi), set()
+    for w in ONE_LAYER_WIDTHS:
+        series = w < 2.0
+        z[1] = w
+        sum_a, sum_b = _pair_sums(z, c, series)
+        sum_a, sum_b = sum_a / w / w, sum_b / w / w
+        want = ((rt_pi * (1.0 - sum_a), rt_pi * (0.5 + sum_b)) if series
+                else (-rt_pi * sum_a, rt_pi * sum_b))
+        got = _profile_ab([w], [2329.0])
+        assert [v.hex() for v in got] == [v.hex() for v in want], w
+        assert all(type(v) is float for v in got)
+        branches.add(series)
+    assert branches == {False, True}
+
+
+COEFFICIENT_TABLES = ["_SPHERE_COEF", "_PHI_SERIES", "_G_SERIES", "_A_PERP_SERIES",
+                      "_B_PERP_SERIES", "_BALL_SERIES"]
+
+
+@pytest.mark.parametrize("table", COEFFICIENT_TABLES)
+def test_horner_matches_polyval_bit_for_bit(table):
+    coef = getattr(special, table)
+    x = np.concatenate([np.linspace(-4.0, 4.0, 2001), [0.0, -0.0, 1e-300, 5e-324]])
+    want = np.polynomial.polynomial.polyval(x, coef)
+    np.testing.assert_array_equal(_horner(x, coef), want)
+    for xi, wi in zip(x.tolist(), want.tolist()):
+        got = _horner(xi, coef)
+        assert type(got) is float and got.hex() == wi.hex()
