@@ -298,7 +298,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.add_argument("--csv", action="store_true",
                    help="emit tabular results as CSV")
-    p.add_argument("--seed", help="override the spec's Monte-Carlo seed")
+    p.add_argument("--seed",
+                   help="override the spec's seed of the Monte Carlo and lattice-check")
 
 
 @functools.cache

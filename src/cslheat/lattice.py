@@ -15,23 +15,27 @@ brute-force checks live here:
     The Gaussian-weighted wavevector integral of the pair phases has the
     closed form
 
-        gamma_cm = lambda hbar^2 / (2 M m_N^2 r_c^2)
-                   * sum_{l,l'} m_l m_l' exp(-D^2/4) (3/2 - D^2/4),
+        gamma_cm = gamma_total(M) * S / (3/2 M^2),
+        S = sum_{l,l'} m_l m_l' exp(-D^2/4) (3/2 - D^2/4),
 
-    with D = |R_l - R_l'| / r_c, so this route involves no quadrature at
-    all; its only deviation from the continuum value is the lattice
-    discretization itself.  The general pair sum takes row blocks of
-    bounded size.  For product-grid lattices, only of bodies whose
-    factors are all lines (cuboids and layered stacks), it factorizes
-    over axes into one 1D marginal sum per line, banded by index offset
-    on every axis of uniform pitch, and the three sums go through the I3
-    formula of geometry._i3.
+    with D = |R_l - R_l'| / r_c and gamma_total the closed form of
+    core.gamma_total, so this module sums only the sites and involves no
+    quadrature at all; its only deviation from the continuum value is the
+    lattice discretization itself.  The general pair sum takes row blocks
+    of bounded size.  For product-grid lattices, only of bodies whose
+    factors are all lines (cuboids and layered stacks), S / M^2 factorizes
+    over axes into one 1D pair sum per line, and the three sums go
+    through the I3 formula of geometry._i3.  Each axis sum picks its
+    route from its sites: banded by index offset when they lie on one
+    pitch, the dense pair matrix when they do not.
 
 Sites are filled on a simple cubic grid (cell centers inside the body,
 tested on the three broadcast 1D axes) and the site masses are rescaled
 by one overall factor so the lattice mass matches the model exactly.
-The lattice reads a body only through its factors: their extents, and
-the profile (layer widths and densities) of a last factor that is a line.
+The lattice reads a body through its factors (their extents, and the
+profile, layer widths and densities, of a last factor that is a line)
+and, where that last factor is not a line (a sphere), through
+model.material.density.
 """
 
 from __future__ import annotations
@@ -42,10 +46,9 @@ from math import ceil, fsum, sqrt
 
 import numpy as np
 
-from .core import CONSTANTS, CslParams
+from .core import CONSTANTS, CslParams, gamma_total
 from .geometry import Cuboid, Factor, MassModel, Material, PointMass
 from .geometry import _i3, _lines, extents, mu_tilde, total_mass
-from .heating import gamma_total
 
 SITE_CAP = 100_000_000  # candidate sites of build_lattice: 0.8 GB per coordinate
 PAIR_CAP = 2**28  # site pairs of gamma_cm_discrete
@@ -76,7 +79,6 @@ class Lattice:
 
     masses: np.ndarray
     positions: np.ndarray
-    cell_volume: float
 
     @property
     def n_cells(self) -> int:
@@ -104,11 +106,7 @@ def build_lattice(model: MassModel, spacing: float) -> Lattice:
         raise ValueError(f"spacing must be > 0, got {spacing}")
     if isinstance(model, PointMass):
         pos = np.asarray(model.position, float) + np.asarray(model.offset, float)
-        return Lattice(
-            masses=np.array([model.mass]),
-            positions=pos.reshape(1, 3),
-            cell_volume=spacing**3,
-        )
+        return Lattice(masses=np.array([model.mass]), positions=pos.reshape(1, 3))
 
     ext = extents(model)
     if spacing >= min(ext):
@@ -143,7 +141,7 @@ def build_lattice(model: MassModel, spacing: float) -> Lattice:
         pos[:, k] = np.broadcast_to(a, inside.shape)[inside]
     masses = np.broadcast_to(density, inside.shape)[inside] * spacing**3
     masses *= total_mass(model) / np.sum(masses)
-    return Lattice(masses=masses, positions=pos, cell_volume=spacing**3)
+    return Lattice(masses=masses, positions=pos)
 
 
 def mu_tilde_discrete(lat: Lattice, k):
@@ -228,33 +226,31 @@ def gamma_cm_discrete(lat: Lattice, csl: CslParams) -> float:
         np.exp(np.negative(q, out=t), out=t)
         np.multiply(np.subtract(1.5, q, out=q), t, out=q)  # e^-q (3/2 - q)
         parts.append(float(m[i : i + step] @ q @ m))
-    s = fsum(parts)
-    c = CONSTANTS
-    return (
-        csl.lambda_rate
-        * c.hbar**2
-        / (2.0 * lat.total_mass * c.m_nucleon**2)
-        / csl.r_c
-        / csl.r_c
-        * s
-    )
+    mass = lat.total_mass
+    return gamma_total(mass, csl) * (fsum(parts) / mass / mass / 1.5)
 
 
 def _axis_pair_sums(
-    positions: np.ndarray, weights: np.ndarray, r_c: float, pitch: float | None
+    positions: np.ndarray, weights: np.ndarray, r_c: float
 ) -> tuple[float, float]:
     """(Q, P) = sum_{ab} w_a w_b e^{-d^2/4} {1, (1/2 - d^2/4)}, d in r_c units.
 
-    On an axis of uniform `pitch` the pair distance depends only on the
-    index offset, and the Gaussian kills offsets beyond _PAIR_BAND_D r_c:
-    one dot product per offset in the band, O(n * band) time and O(n)
-    memory (np.correlate over all offsets would be O(n^2)).  Only an axis
-    of mixed pitches (pitch None) takes the dense n x n pair matrix.
+    Sites on one pitch, to 64 eps of the largest |position| (the scale of
+    their rounding, far above eps times the pitch on long or offset axes),
+    have a pair distance that depends only on the index offset, and the
+    Gaussian kills offsets beyond _PAIR_BAND_D r_c: one dot product per
+    offset in the band, O(n * band) time and O(n) memory (np.correlate
+    over all offsets would be O(n^2)).  Only sites of mixed pitches take
+    the dense n x n pair matrix.
     """
+    n = len(positions)
+    if n == 1:
+        return 1.0, 0.5
     w = weights / np.sum(weights)
-    n = len(w)
-    if pitch is None:
-        q = ((positions[:, None] - positions[None, :]) / r_c) ** 2 / 4.0
+    pitch = (positions[-1] - positions[0]) / (n - 1)
+    drift = np.abs(positions - (positions[0] + np.arange(n) * pitch))
+    if np.max(drift) > 64 * sys.float_info.epsilon * np.max(np.abs(positions)):
+        q = (np.subtract.outer(positions, positions) / r_c) ** 2 / 4.0
         g = np.exp(-q)
         return float(w @ g @ w), float(w @ ((0.5 - q) * g) @ w)
     offsets = np.arange(min(n - 1, ceil(_PAIR_BAND_D * r_c / pitch)) + 1)
@@ -266,37 +262,21 @@ def _axis_pair_sums(
 
 
 def _line_grid(line: Factor, center: float, spacing: float):
-    """The 1D site marginal (positions, weights, pitch) of a line factor.
+    """The 1D site marginal (positions, weights) of a line factor.
 
-    A profile of several layers gets a grid aligned to the layer
-    boundaries (per-layer pitch close to `spacing`), so no cell straddles
-    a density jump and the discretization error stays O(spacing^2); a
-    single layer takes a uniform grid of unit total weight.
+    Each layer gets its own whole number of cells, close to `spacing`,
+    so no cell straddles a density jump and the discretization error
+    stays O(spacing^2).
     """
-    widths, rho = line.profile
-    if len(widths) == 1:
-        n = max(1, round(widths[0] / spacing))
-        p = widths[0] / n
-        return center + (np.arange(n) - 0.5 * (n - 1)) * p, np.full(n, 1.0 / n), p
     zpos, zw = [], []
     z = -0.5 * line.extent
-    pitches = []
-    for t, density in zip(widths, rho):
+    for t, density in zip(*line.profile):
         n = max(1, round(t / spacing))
         p = t / n
-        pitches.append(p)
         zpos.append(z + (np.arange(n) + 0.5) * p)
         zw.append(np.full(n, density * p))
         z += t
-    # a single pitch is required by the banded pair sum; fall back to
-    # the direct sum when layers discretize to different pitches
-    pitch = pitches[0] if len(set(pitches)) == 1 else None
-    return np.concatenate(zpos) + center, np.concatenate(zw), pitch
-
-
-def _axis_marginals(model: MassModel, spacing: float) -> list:
-    """One _line_grid per axis; NotSeparable unless every factor is a line."""
-    return [_line_grid(line, c, spacing) for line, c in zip(_lines(model), model.offset)]
+    return np.concatenate(zpos) + center, np.concatenate(zw)
 
 
 def gamma_cm_discrete_separable(
@@ -308,24 +288,15 @@ def gamma_cm_discrete_separable(
     the continuum rate only by the O(spacing^2) lattice discretization.
     Cuboids and layered stacks only: any other body raises NotSeparable.
     """
-    shape_sum = _i3([_axis_pair_sums(pos, w, csl.r_c, pitch)
-                     for pos, w, pitch in _axis_marginals(model, spacing)])
-    c = CONSTANTS
-    return (
-        csl.lambda_rate
-        * c.hbar**2
-        * total_mass(model)
-        / (2.0 * c.m_nucleon**2)
-        / csl.r_c
-        / csl.r_c
-        * shape_sum
-    )
+    shape_sum = _i3([_axis_pair_sums(*_line_grid(line, c, spacing), csl.r_c)
+                     for line, c in zip(_lines(model), model.offset)])
+    return gamma_total(total_mass(model), csl) * (shape_sum / 1.5)
 
 
 def _random_lattice(rng: np.random.Generator, n: int, scale: float) -> Lattice:
     masses = rng.uniform(0.5, 2.0, n) * 1e-18
     positions = rng.uniform(-scale, scale, (n, 3))
-    return Lattice(masses=masses, positions=positions, cell_volume=scale**3)
+    return Lattice(masses=masses, positions=positions)
 
 
 def lattice_check(seed: int = 0, r_c: float = 1e-7) -> dict:
@@ -357,11 +328,7 @@ def lattice_check(seed: int = 0, r_c: float = 1e-7) -> dict:
     ref = f_double_commutator(lat0, k)
     spread = 0.0
     for _ in range(10):
-        moved = Lattice(
-            masses=lat0.masses,
-            positions=rng.uniform(-1e-6, 1e-6, lat0.positions.shape),
-            cell_volume=lat0.cell_volume,
-        )
+        moved = Lattice(lat0.masses, rng.uniform(-1e-6, 1e-6, lat0.positions.shape))
         spread = max(spread, abs(f_double_commutator(moved, k) - ref) / abs(ref))
     checks.append(
         {

@@ -147,7 +147,6 @@ def test_criterion_04_double_commutator_identity():
             lat = Lattice(
                 masses=rng.uniform(0.3, 3.0, n) * 1e-18,
                 positions=rng.uniform(-1e-6, 1e-6, (n, 3)),
-                cell_volume=1e-24,
             )
             k = rng.normal(0.0, 1.0 / R_C, 3)
             expected = -hbar2 * lat.total_mass * float(k @ k)
@@ -156,7 +155,6 @@ def test_criterion_04_double_commutator_identity():
         lat = Lattice(
             masses=rng.uniform(0.3, 3.0, 64) * 1e-18,
             positions=rng.uniform(-1e-6, 1e-6, (64, 3)),
-            cell_volume=1e-24,
         )
         k = rng.normal(0.0, 1.0 / R_C, 3)
         ref = f_double_commutator(lat, k)
@@ -164,7 +162,6 @@ def test_criterion_04_double_commutator_identity():
             moved = Lattice(
                 masses=lat.masses,
                 positions=rng.uniform(-1e-6, 1e-6, (64, 3)),
-                cell_volume=lat.cell_volume,
             )
             assert f_double_commutator(moved, k) == pytest.approx(ref, rel=1e-14, abs=0)
 

@@ -550,7 +550,11 @@ def test_parser_reuse_keeps_output(capsys):
 # and stack16 and stack_offset were re-recorded when the normalized form
 # factor divided its real and imaginary parts by the mass separately
 # (|f(0)| is now exactly 1; rows moved by at most an ulp, and no record's
-# largest error against 30-digit mpmath grew).  Commands that run none of
+# largest error against 30-digit mpmath grew).  The 9 `lattice-check`
+# records were re-recorded in `rel_difference` alone when both lattice
+# rates took their prefactor from core.gamma_total (1.47e-15 -> 9.80e-16;
+# test_probe_rates_match_mpmath holds both rates within 2e-15 of 40-digit
+# mpmath).  Commands that run none of
 # those emit the same bytes; the rest agree with the recording to rounding.
 RECORDED = json.loads((Path(__file__).resolve().parent / "data" /
                        "cli_payloads.json").read_text())

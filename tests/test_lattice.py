@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -30,7 +31,8 @@ from cslheat import (
     mu_tilde_discrete,
     total_mass,
 )
-from cslheat.lattice import PAIR_CAP, _axis_marginals, _axis_pair_sums
+from cslheat.geometry import _lines
+from cslheat.lattice import _PROBE, PAIR_CAP, _axis_pair_sums, _line_grid
 from conftest import (
     full_grid_lattice,
     gamma_cm_pair_tensor,
@@ -47,8 +49,50 @@ def random_lattice(rng, n, scale=1e-7):
     return Lattice(
         masses=rng.uniform(0.5, 2.0, n) * 1e-18,
         positions=rng.uniform(-scale, scale, (n, 3)),
-        cell_volume=scale**3,
     )
+
+
+def line_grids(model, spacing):
+    """The (positions, weights) of gamma_cm_discrete_separable's three axes."""
+    return [_line_grid(line, c, spacing) for line, c in zip(_lines(model), model.offset)]
+
+
+def dense_axis_sums(positions, weights, r_c):
+    """(Q, P) of _axis_pair_sums from every site pair, in row blocks."""
+    w = weights / np.sum(weights)
+    q_sum = p_sum = 0.0
+    for i in range(0, len(w), 256):
+        q = (np.subtract.outer(positions[i : i + 256], positions) / r_c) ** 2 / 4.0
+        g = np.exp(-q)
+        q_sum += float(w[i : i + 256] @ g @ w)
+        p_sum += float(w[i : i + 256] @ ((0.5 - q) * g) @ w)
+    return q_sum, p_sum
+
+
+def gamma_cm_mp(mass, axes, csl):
+    """gamma_cm of a product grid at 40 digits: lambda hbar^2 M / (2 m_N^2 r_c^2)
+    times sum_f P_f prod_(g != f) Q_g over the axes' (positions, weights)."""
+    with mp.workdps(40):
+        r_c = mp.mpf(csl.r_c)
+        sums = []
+        for positions, weights in axes:
+            x = [mp.mpf(float(v)) / r_c for v in positions]
+            w = [mp.mpf(float(v)) for v in weights]
+            w = [v / mp.fsum(w) for v in w]
+            q = p = mp.mpf(0)
+            for xa, wa in zip(x, w):
+                for xb, wb in zip(x, w):
+                    d2 = (xa - xb) ** 2 / 4
+                    term = wa * wb * mp.exp(-d2)
+                    q += term
+                    p += term * (mp.mpf(1) / 2 - d2)
+            sums.append((q, p))
+        i3 = mp.fsum(p * mp.fprod(q for g, (q, _) in enumerate(sums) if g != f)
+                     for f, (_, p) in enumerate(sums))
+        c = CONSTANTS
+        pref = (mp.mpf(csl.lambda_rate) * mp.mpf(c.hbar) ** 2 * mp.mpf(mass)
+                / (2 * mp.mpf(c.m_nucleon) ** 2 * r_c**2))
+        return pref * i3
 
 
 class TestBuildLattice:
@@ -134,7 +178,6 @@ class TestMuTildeDiscrete:
         lat = Lattice(
             masses=np.array([2e-9]),
             positions=np.array([[1e-7, -1e-7, 2e-7]]),
-            cell_volume=1e-24,
         )
         k = np.array([3e6, -1e6, 2e6])
         expected = 2e-9 * np.exp(-1j * (k @ lat.positions[0]))
@@ -209,7 +252,6 @@ class TestDoubleCommutator:
         lat = Lattice(
             masses=np.array([m]),
             positions=np.array([[2e-7, 0.0, -1e-7]]),
-            cell_volume=1e-24,
         )
         k = np.array([1e7, 0.0, 0.0])
         expected = -CONSTANTS.hbar**2 * m * 1e14
@@ -230,7 +272,6 @@ class TestDoubleCommutator:
             shuffled = Lattice(
                 masses=lat.masses,
                 positions=rng.uniform(-5e-7, 5e-7, lat.positions.shape),
-                cell_volume=lat.cell_volume,
             )
             assert f_double_commutator(shuffled, k) == pytest.approx(ref, rel=1e-14, abs=0)
 
@@ -250,7 +291,6 @@ class TestGammaTotalDiscrete:
         doubled = Lattice(
             masses=2.0 * lat.masses,
             positions=lat.positions,
-            cell_volume=lat.cell_volume,
         )
         assert gamma_total_discrete(doubled, CSL) == pytest.approx(
             2.0 * gamma_total_discrete(lat, CSL), rel=1e-14, abs=0
@@ -260,7 +300,6 @@ class TestGammaTotalDiscrete:
         lat = Lattice(
             masses=np.array([1.0]),
             positions=np.zeros((1, 3)),
-            cell_volume=1.0,
         )
         assert gamma_total_discrete(lat, CslParams(1e-16, 1e-7)) == pytest.approx(
             2.98e-17, rel=1e-3, abs=0
@@ -307,28 +346,22 @@ class TestGammaCmDiscrete:
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.4, abs=0)
 
     def test_banded_path_matches_direct(self):
-        # wide body exercises the banded uniform-grid branch in x and y
+        # wide body exercises the banded uniform-grid route in x and y;
+        # a single site is an axis too
         plate = Cuboid(60 * R_C, 60 * R_C, 2 * R_C, SILICON)
-        coarse = gamma_cm_discrete_separable(plate, CSL, R_C / 2)
-        # same spacing via the direct O(n^2) branch
-        mx, my, mz = _axis_marginals(plate, R_C / 2)
-        direct = []
-        for pos, w, pitch in (mx, my, mz):
-            direct.append(_axis_pair_sums(pos, w, R_C, None))
-        banded = []
-        for pos, w, pitch in (mx, my, mz):
-            banded.append(_axis_pair_sums(pos, w, R_C, pitch))
-        for (qd, pd), (qb, pb) in zip(direct, banded):
+        assert gamma_cm_discrete_separable(plate, CSL, R_C / 2) > 0
+        for pos, w in [*line_grids(plate, R_C / 2), (np.array([3e-7]), np.array([2.0]))]:
+            qb, pb = _axis_pair_sums(pos, w, R_C)
+            qd, pd = dense_axis_sums(pos, w, R_C)
             assert qb == pytest.approx(qd, rel=1e-12, abs=0)
             assert pb == pytest.approx(pd, rel=1e-12, abs=0)
-        assert coarse > 0
 
     @pytest.mark.parametrize("n, offset", [(1, 0.0), (37, 0.0), (300, 0.0),
                                            (700, 0.0), (700, 0.1)])
     def test_matches_pair_tensor(self, rng, n, offset):
         # 300 and 700 sites span several row blocks, the last one partial
         lat = random_lattice(rng, n, scale=3e-7)
-        lat = Lattice(lat.masses, lat.positions + offset, lat.cell_volume)
+        lat = Lattice(lat.masses, lat.positions + offset)
         assert gamma_cm_discrete(lat, CSL) == pytest.approx(
             gamma_cm_pair_tensor(lat, CSL), rel=1e-13, abs=0
         )
@@ -343,10 +376,10 @@ class TestGammaCmDiscrete:
 
     def test_banded_matches_dense_on_1500_sites(self):
         plate = Cuboid(375 * R_C, 3 * R_C, 2 * R_C, SILICON, (2e-6, 0.0, 0.0))
-        (pos, w, pitch), _, _ = _axis_marginals(plate, R_C / 4)
+        (pos, w), _, _ = line_grids(plate, R_C / 4)
         assert len(pos) == 1500
-        qb, pb = _axis_pair_sums(pos, w, R_C, pitch)
-        qd, pd = _axis_pair_sums(pos, w, R_C, None)
+        qb, pb = _axis_pair_sums(pos, w, R_C)
+        qd, pd = dense_axis_sums(pos, w, R_C)
         assert qb == pytest.approx(qd, rel=1e-12, abs=0)
         assert pb == pytest.approx(pd, rel=1e-12, abs=0)
 
@@ -355,17 +388,74 @@ class TestGammaCmDiscrete:
         pos = (np.arange(n) - 0.5 * (n - 1)) * R_C / 4
         tracemalloc.start()
         try:
-            _axis_pair_sums(pos, np.full(n, 1.0 / n), R_C, R_C / 4)
+            _axis_pair_sums(pos, np.full(n, 1.0 / n), R_C)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # the dense n x n route needed more than 500 MB here
         assert peak < 16e6
 
+    def test_whole_spacing_layers_take_the_band(self):
+        # layers of 245 and 250 spacings: t / round(t / s) differs in the
+        # last bits between them, yet the sites lie on one pitch
+        spacing = R_C / 40
+        heavy, light = Material("h", 2000.0), Material("l", 200.0)
+        layers = tuple(Layer((heavy, light)[i % 2], (245, 250)[i % 2] * spacing)
+                       for i in range(16))
+        assert len({lay.thickness / round(lay.thickness / spacing) for lay in layers}) > 1
+        stack = LayeredStack(2 * R_C, 2 * R_C, layers)
+        _, _, (pos, w) = line_grids(stack, spacing)
+        assert len(pos) == 3960
+        tracemalloc.start()
+        try:
+            assert gamma_cm_discrete_separable(stack, CSL, spacing) > 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense route's 3960 x 3960 pair matrices take more than 128 MB
+        assert peak < 16e6
+        q, p = _axis_pair_sums(pos, w, R_C)
+        qd, pd = dense_axis_sums(pos, w, R_C)
+        assert q == pytest.approx(qd, rel=1e-13, abs=0)
+        assert p == pytest.approx(pd, rel=1e-13, abs=0)
+
+    def test_mixed_pitches_match_dense(self):
+        # layers of 1.3 and 2.2 spacings discretize to pitches of 1.3 and
+        # 1.1 spacings: no single pitch, so the dense route
+        spacing = R_C / 5
+        heavy, light = Material("h", 2000.0), Material("l", 200.0)
+        layers = tuple(Layer((heavy, light)[i % 2], (1.3, 2.2)[i % 2] * spacing)
+                       for i in range(12))
+        stack = LayeredStack(2 * R_C, 2 * R_C, layers, (0.0, 0.0, 3e-7))
+        _, _, (pos, w) = line_grids(stack, spacing)
+        gaps = np.diff(pos) / spacing
+        assert np.ptp(gaps) > 0.1
+        q, p = _axis_pair_sums(pos, w, R_C)
+        qd, pd = dense_axis_sums(pos, w, R_C)
+        assert q == pytest.approx(qd, rel=1e-13, abs=0)
+        assert p == pytest.approx(pd, rel=1e-13, abs=0)
+
+    def test_probe_rates_match_mpmath(self):
+        # lattice_check's probe: a cube of side 2 r_c on 12^3 sites
+        cube = Cuboid(2 * R_C, 2 * R_C, 2 * R_C, _PROBE)
+        lat = build_lattice(cube, R_C / 6)
+        axes = [np.unique(lat.positions[:, i]) for i in range(3)]
+        # a full product grid of equal masses: the pair sum factorizes
+        assert [len(a) for a in axes] == [12, 12, 12] and lat.n_cells == 12**3
+        assert np.all(lat.masses == lat.masses[0])
+        with mp.workdps(40):
+            mass = mp.fsum(mp.mpf(float(m)) for m in lat.masses)
+        want = gamma_cm_mp(mass, [(a, np.ones(12)) for a in axes], CSL)
+        got = gamma_cm_discrete(lat, CSL)
+        assert abs(got - want) / want <= 2e-15
+        want = gamma_cm_mp(total_mass(cube), line_grids(cube, R_C / 6), CSL)
+        got = gamma_cm_discrete_separable(cube, CSL, R_C / 6)
+        assert abs(got - want) / want <= 2e-15
+
     def test_pair_cap(self):
         n = 2**14 + 1  # n^2 just over PAIR_CAP = 2^28
         assert n * n > PAIR_CAP >= (n - 1) ** 2
-        lat = Lattice(np.full(n, 1e-18), np.zeros((n, 3)), 1e-24)
+        lat = Lattice(np.full(n, 1e-18), np.zeros((n, 3)))
         tracemalloc.start()
         try:
             with pytest.raises(TooManySites):
