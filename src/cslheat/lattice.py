@@ -27,7 +27,7 @@ brute-force checks live here:
     over axes into one 1D pair sum per line, and the three sums go
     through the I3 formula of geometry._i3.  Each axis sum picks its
     route from its sites: banded by index offset when they lie on one
-    pitch, the dense pair matrix when they do not.
+    pitch, the dense pair matrix in row blocks when they do not.
 
 Sites are filled on a simple cubic grid (cell centers inside the body,
 tested on the three broadcast 1D axes) and the site masses are rescaled
@@ -55,8 +55,9 @@ PAIR_CAP = 2**28  # site pairs of gamma_cm_discrete
 # pair-phase Gaussian exp(-D^2/4) with the (3/2 - D^2/4) polynomial is
 # below 1e-16 relative for D > 14
 _PAIR_BAND_D = 16.0
-# pair entries (site phases) per block of gamma_cm_discrete (mu_tilde_discrete):
-# the work buffers stay in cache; pair blocks of 2^20 entries ran 1.4-2x slower
+# pair entries (site phases) per block of gamma_cm_discrete and of the dense
+# route of _axis_pair_sums (mu_tilde_discrete): the work buffers stay in
+# cache; pair blocks of 2^20 entries ran 1.4-2x slower
 _PAIR_BLOCK = 1 << 16
 
 
@@ -233,7 +234,12 @@ def gamma_cm_discrete(lat: Lattice, csl: CslParams) -> float:
 def _axis_pair_sums(
     positions: np.ndarray, weights: np.ndarray, r_c: float
 ) -> tuple[float, float]:
-    """(Q, P) = sum_{ab} w_a w_b e^{-d^2/4} {1, (1/2 - d^2/4)}, d in r_c units.
+    """(Q, P) = sum_{ab} w_a w_b e^{-d^2/4} {1, (1/2 - d^2/4)}, d in r_c units,
+    for the weights normalized to sum 1.
+
+    Both sums take the raw weights and are divided once by the squared
+    weight sum, taken exactly (fsum): weights normalized first sum to 1
+    only to rounding, which biases Q and P by about 5e-16.
 
     Sites on one pitch, to 64 eps of the largest |position| (the scale of
     their rounding, far above eps times the pitch on long or offset axes),
@@ -241,24 +247,30 @@ def _axis_pair_sums(
     Gaussian kills offsets beyond _PAIR_BAND_D r_c: one dot product per
     offset in the band, O(n * band) time and O(n) memory (np.correlate
     over all offsets would be O(n^2)).  Only sites of mixed pitches take
-    the dense n x n pair matrix.
+    the dense pair matrix, in row blocks of _PAIR_BLOCK entries whose sums
+    fsum adds, so memory does not grow as n^2.
     """
     n = len(positions)
     if n == 1:
         return 1.0, 0.5
-    w = weights / np.sum(weights)
+    norm = fsum(weights.tolist()) ** 2
     pitch = (positions[-1] - positions[0]) / (n - 1)
     drift = np.abs(positions - (positions[0] + np.arange(n) * pitch))
     if np.max(drift) > 64 * sys.float_info.epsilon * np.max(np.abs(positions)):
-        q = (np.subtract.outer(positions, positions) / r_c) ** 2 / 4.0
-        g = np.exp(-q)
-        return float(w @ g @ w), float(w @ ((0.5 - q) * g) @ w)
+        step = max(1, _PAIR_BLOCK // n)
+        q_parts, p_parts = [], []
+        for i in range(0, n, step):
+            q = (np.subtract.outer(positions[i : i + step], positions) / r_c) ** 2 / 4.0
+            g = np.exp(-q)
+            q_parts.append(float(weights[i : i + step] @ g @ weights))
+            p_parts.append(float(weights[i : i + step] @ ((0.5 - q) * g) @ weights))
+        return fsum(q_parts) / norm, fsum(p_parts) / norm
     offsets = np.arange(min(n - 1, ceil(_PAIR_BAND_D * r_c / pitch)) + 1)
     q = (offsets * pitch / r_c) ** 2 / 4.0
     g = np.exp(-q)
-    corr = np.array([w[: n - o] @ w[o:] for o in offsets])
+    corr = np.array([weights[: n - o] @ weights[o:] for o in offsets])
     corr[1:] *= 2.0  # offsets +o and -o
-    return float(corr @ g), float(corr @ ((0.5 - q) * g))
+    return float(corr @ g) / norm, float(corr @ ((0.5 - q) * g)) / norm
 
 
 def _line_grid(line: Factor, center: float, spacing: float):

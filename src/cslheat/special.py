@@ -21,11 +21,15 @@ count.  Aperiodic profiles keep the dense pair sum, reduced through BLAS.
 
 scipy.special, which costs more to import than the rest of the package
 with numpy, is imported on first use and only by the three branches that
-call it: erf in the direct kernels (_kernels) of profiles at least 2 r_c
-high, dense or folded into cells at least 2 r_c wide, i0e/i1e in the
-direct branch of _disc_ab, and j1 in two_j1_over_x.  Series profiles,
-periodic profiles of thinner cells (whose lags are moment series),
-spheres, point masses and the disc series never load it.
+call it: erf in the direct kernels (_kernels) of multi-layer profiles at
+least 2 r_c high, dense or folded into cells at least 2 r_c wide, and of
+one-layer lines 2 to 16 r_c wide; i0e/i1e in the direct branch of
+_disc_ab (discs of radius at least r_c); and j1 in two_j1_over_x.  A
+one-layer line at least 16 r_c wide takes erf(w/2) = 1 exactly (erfc(8)
+is about 1e-29, far below half an ulp of 1), so mm-scale boxes and the
+cross-sections of stacks, as well as series profiles, periodic profiles
+of thinner cells (whose lags are moment series), spheres, point masses
+and the disc series, never load it.
 """
 
 from __future__ import annotations
@@ -55,6 +59,9 @@ _PHI_SERIES = tuple((-1) ** (k - 1) / (4.0 ** (k - 1) * factorial(k - 1) * 2 * k
                     for k in range(2, 22))
 _G_SERIES = tuple((-1) ** k / (4.0**k * factorial(k)) for k in range(2, 22))
 _PAIR_BLOCK = 1 << 20  # pair-matrix entries per block: bounds memory
+# erf(x/2) rounds to 1 from here on: erfc(8) ~ 1.1e-29 is 12 orders of
+# magnitude below half an ulp of 1, so any faithful erf returns 1.0
+_ERF_ONE = 16.0
 
 # Periodic profiles fold into lag sums (_folded_sums) from _FOLD_MIN layers
 # on; shorter ones stay one cell, as the fold's fixed cost of about 0.1 ms
@@ -144,14 +151,23 @@ def two_j1_over_x(x):
 
 def _kernels(d, series: bool):
     """The A and B pair kernels at distances d (an array or a float): Phi
-    and g, or their series parts Phi - 2 - x^2/2 and g - 1 + x^2/4."""
+    and g, or their series parts Phi - 2 - x^2/2 and g - 1 + x^2/4.
+
+    A float d of at least _ERF_ONE takes erf(d/2) = 1.0 in the same
+    operations, so the same bits, and does not import scipy.  Arrays always
+    take scipy's erf: a pair matrix or a fold lag holds short distances,
+    and testing each array for its least distance would cost a reduction
+    on every call.
+    """
     if series:
         d2 = d * d
         d4 = d2 * d2
         return d4 * _horner(d2, _PHI_SERIES), d4 * _horner(d2, _G_SERIES)
+    kb = np.exp(-0.25 * d * d)
+    if isinstance(d, float) and d >= _ERF_ONE:
+        return _RT_PI * d * 1.0 + 2.0 * kb, kb
     from scipy.special import erf
 
-    kb = np.exp(-0.25 * d * d)
     return _RT_PI * d * erf(0.5 * d) + 2.0 * kb, kb
 
 
@@ -276,8 +292,8 @@ def _profile_ab(widths, densities) -> tuple[float, float]:
 
     or the same two-edge terms of the series kernels below w = 2.  It is
     taken in floats, sum = 2 (K(0) - K(w)) then / w / w, with np.exp and
-    scipy's erf on the scalar w: the dense route's operations in its
-    order, so its bits.
+    scipy's erf on the scalar w (1.0 from w = 16 on, see _kernels): the
+    dense route's operations in its order, so its bits.
 
     A profile that repeats a cell of m layers and width P whole, n times
     (_cell), is the sum of n shifted cells, rho(z) = sum_r rho_cell(z - rP),

@@ -350,12 +350,24 @@ def test_process_exit_code_is_mains(capsys):
 
 
 def test_common_commands_do_not_load_scipy(tmp_path):
-    # scipy.special is imported by the direct branches of the profile and
-    # disc kernels and by the disc form factor only; these runs take none
-    # of them.  sys.modules, unlike -X importtime output, is the
-    # interpreter's own record of what was imported.
+    # scipy.special is imported only by the direct kernels of multi-layer
+    # profiles at least 2 r_c high, of one-layer lines 2 to 16 r_c wide
+    # (wider ones take erf = 1 exactly), of discs of radius at least r_c,
+    # and by the disc form factor; these runs take none of them.
+    # sys.modules, unlike -X importtime output, is the interpreter's own
+    # record of what was imported.
     bad = tmp_path / "bad.json"
     bad.write_text('{"version": 1, "csl": {"lambda": -1, "r_c": 1e-7}}')
+    plate = json.loads((SPECS / "plate.json").read_text())
+    # the plate's body (sides of 10^4 and 100 r_c) under bound.json's task
+    plate_bound = tmp_path / "plate_bound.json"
+    plate_bound.write_text(json.dumps(
+        dict(plate, task=json.loads((SPECS / "bound.json").read_text())["task"])))
+    # sides of exactly 16 r_c (1.6e-6 / 1e-7 rounds to 16.0), the first
+    # width that takes erf = 1
+    edge = tmp_path / "cube16.json"
+    edge.write_text(json.dumps(dict(plate, mass_model=dict(
+        plate["mass_model"], lx=1.6e-6, ly=1.6e-6, lz=1.6e-6))))
     # a cylinder under both series switches (height 2 r_c, radius r_c): its
     # line and disc take their series in scalar floats (cube_small's sides,
     # 0.1 r_c, cover the one-layer line series on its own)
@@ -370,6 +382,9 @@ def test_common_commands_do_not_load_scipy(tmp_path):
         (["heat", "--spec", str(SPECS / "sphere.json")], 0),
         (["heat", "--spec", str(thin)], 0),
         (["bound", "--spec", str(SPECS / "bound.json")], 0),
+        (["heat", "--spec", str(SPECS / "plate.json")], 0),
+        (["bound", "--spec", str(plate_bound)], 0),
+        (["heat", "--spec", str(edge)], 0),
         (["mu", "--spec", str(SPECS / "stack16.json"), "--at", "1e7,0,2e7"], 0),
         (["lattice-check", "--spec", str(SPECS / "point.json")], 0),
         (["heat", "--spec", str(bad)], 2),
@@ -554,7 +569,9 @@ def test_parser_reuse_keeps_output(capsys):
 # records were re-recorded in `rel_difference` alone when both lattice
 # rates took their prefactor from core.gamma_total (1.47e-15 -> 9.80e-16;
 # test_probe_rates_match_mpmath holds both rates within 2e-15 of 40-digit
-# mpmath).  Commands that run none of
+# mpmath), and again when the separable rate divided its raw axis sums by
+# the exact squared weight sum (9.80e-16 -> 6.54e-16; the separable rate
+# is now held within 1e-15).  Commands that run none of
 # those emit the same bytes; the rest agree with the recording to rounding.
 RECORDED = json.loads((Path(__file__).resolve().parent / "data" /
                        "cli_payloads.json").read_text())

@@ -181,6 +181,32 @@ def test_one_layer_line_matches_pair_sums_bit_for_bit():
     assert branches == {False, True}
 
 
+def test_scipy_erf_is_one_from_eight_on():
+    # the premise of _ERF_ONE = 16: erf(w/2) of any width from 16 r_c on
+    # is exactly 1.0, so taking it as the literal 1.0 moves no bit
+    from scipy.special import erf
+
+    half = special._ERF_ONE / 2
+    x = np.concatenate([np.linspace(half, 64.0, 100_001), np.geomspace(half, 1e300, 100_001),
+                        [np.inf]])
+    assert x.min() == 8.0 and np.all(erf(x) == 1.0)
+
+
+@pytest.mark.parametrize("w", [float(np.nextafter(16.0, 0.0)), 16.0, 16.5, 1e2, 1e4, 1e6, 1e150])
+def test_wide_line_keeps_the_erf_bits(w):
+    # the one-layer closed form as it was written with scipy's erf
+    from scipy.special import erf
+
+    kb = np.exp(-0.25 * w * w)
+    ka = math.sqrt(math.pi) * w * erf(0.5 * w) + 2.0 * kb
+    sum_a, sum_b = 2.0 * (2.0 - float(ka)), 2.0 * (1.0 - float(kb))
+    sum_a, sum_b = sum_a / w / w, sum_b / w / w
+    want = (-math.sqrt(math.pi) * sum_a, math.sqrt(math.pi) * sum_b)
+    got = _profile_ab([w], (1.0,))
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert all(type(v) is float for v in got)
+
+
 COEFFICIENT_TABLES = ["_SPHERE_COEF", "_PHI_SERIES", "_G_SERIES", "_A_PERP_SERIES",
                       "_B_PERP_SERIES", "_BALL_SERIES"]
 
