@@ -31,7 +31,10 @@ lattice and Monte Carlo are oracles only.
 The seeded Monte-Carlo estimator (gamma_cm_mc) feeds the same formula
 sampled moments, drawn with numpy's counter-based Philox generator in a
 fixed order, so it is bit-identical for a seed; blocks of samples merge
-by Chan's update, so memory is flat in mc_samples.
+by Chan's update, so memory is flat in mc_samples.  It draws each
+sample's u^2 = |u|^2 of u ~ N(0, I_d / 2) from its exact law
+Gamma(d / 2, 1): the square of one normal for a line, one standard
+exponential for a disc, one standard_gamma(3/2) for a ball.
 """
 
 from __future__ import annotations
@@ -87,7 +90,8 @@ def gamma_cm_mc(
 ) -> PowerEstimate:
     """Monte-Carlo center-of-mass heating rate [W] with standard error.
 
-    Per factor of the body, in order, draws u ~ N(0, I_d / 2) and averages
+    Per factor of the body, in order, draws u^2 = |u|^2 of u ~ N(0, I_d / 2)
+    from its law Gamma(d / 2, 1) and averages
     A = |f(k)|^2 and B = u^2 |f(k)|^2 at k = |u| / r_c over the same draws,
     keeping their covariance (a lone factor needs B alone).  The means go
     through the closed forms' formula, I3 = pi^(3/2) _i3(means), and the
@@ -120,17 +124,27 @@ def _mc_moments(rng, factor, r_c: float, n: int, both: bool):
     draws of one factor, and the covariance matrix of those means."""
     count, mean, m2 = 0, 0.0, 0.0
     for start in range(0, n, _MC_BLOCK):
-        u = rng.normal(0.0, sqrt(0.5), (min(_MC_BLOCK, n - start), factor.dim))
-        u2 = np.einsum("ij,ij->i", u, u)
+        m = min(_MC_BLOCK, n - start)
+        # |u|^2 of u ~ N(0, I_d / 2) follows Gamma(d / 2, 1)
+        if factor.dim == 1:
+            u2 = np.square(rng.normal(0.0, sqrt(0.5), m))
+        elif factor.dim == 2:
+            u2 = rng.standard_exponential(m)
+        else:
+            u2 = rng.standard_gamma(1.5, m)
         f = factor.form(np.sqrt(u2) / r_c)  # |f| is even: |u| serves a line too
-        f2 = f.real**2 + f.imag**2
-        rows = np.stack((f2, u2 * f2)) if both else (u2 * f2)[None]
-        m, block_mean = len(u2), rows.mean(axis=1)
-        dev = rows - block_mean[:, None]
+        f2 = f.real**2 + f.imag**2 if np.iscomplexobj(f) else f * f
+        rows = (f2, u2 * f2) if both else (u2 * f2,)
+        block_mean = np.array([row.mean() for row in rows])
+        dev = [row - mu for row, mu in zip(rows, block_mean)]
+        co = np.empty((len(rows), len(rows)))
+        for x in range(len(rows)):
+            for y in range(x + 1):
+                co[x, y] = co[y, x] = (dev[x] * dev[y]).sum()
         # Chan's update of means and co-moments; running sums would cancel
         delta, total = block_mean - mean, count + m
         mean += delta * (m / total)
-        m2 += (dev[:, None] * dev).sum(axis=2) + np.outer(delta, delta) * (count * m / total)
+        m2 += co + np.outer(delta, delta) * (count * m / total)
         count = total
     return mean, m2 / (n - 1) / n
 

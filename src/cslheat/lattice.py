@@ -22,12 +22,14 @@ brute-force checks live here:
     core.gamma_total, so this module sums only the sites and involves no
     quadrature at all; its only deviation from the continuum value is the
     lattice discretization itself.  The general pair sum takes row blocks
-    of bounded size.  For product-grid lattices, only of bodies whose
-    factors are all lines (cuboids and layered stacks), S / M^2 factorizes
-    over axes into one 1D pair sum per line, and the three sums go
-    through the I3 formula of geometry._i3.  Each axis sum picks its
-    route from its sites: banded by index offset when they lie on one
-    pitch, the dense pair matrix in row blocks when they do not.
+    of bounded size and, the kernel being symmetric, each unordered site
+    pair once.  For product-grid lattices, only of bodies whose factors
+    are all lines (cuboids and layered stacks), S / M^2 factorizes over
+    axes into one 1D pair sum per line, and the three sums go through the
+    I3 formula of geometry._i3.  Each axis sum picks its route from its
+    sites: banded by index offset, in one correlation of the weights, when
+    they lie on one pitch, the dense pair matrix in row blocks when they
+    do not.
 
 Sites are filled on a simple cubic grid (cell centers inside the body,
 tested on the three broadcast 1D axes) and the site masses are rescaled
@@ -203,8 +205,10 @@ def gamma_total_discrete(lat: Lattice, csl: CslParams) -> float:
 def gamma_cm_discrete(lat: Lattice, csl: CslParams) -> float:
     """Center-of-mass heating rate [W] by the exact pairwise Gaussian sum.
 
-    O(N^2) time over site pairs, taken in row blocks of _PAIR_BLOCK pair
-    entries, so memory is bounded per block and does not grow with N^2;
+    O(N^2) time over site pairs, taken in row blocks of at most _PAIR_BLOCK
+    pair entries, so memory is bounded per block and does not grow with
+    N^2.  Each block of rows runs only against the columns from its first
+    row on: N (N + 1) / 2 pairs, the symmetric half of the square;
     use gamma_cm_discrete_separable for fine lattices of separable bodies.
     Raises TooManySites, before any work, beyond PAIR_CAP site pairs.
     """
@@ -217,16 +221,20 @@ def gamma_cm_discrete(lat: Lattice, csl: CslParams) -> float:
     centered = lat.positions - lat.positions[0]
     axes = np.ascontiguousarray(centered.T / (2.0 * csl.r_c))
     step = max(1, _PAIR_BLOCK // n)
-    q_buf, t_buf = np.empty((2, min(step, n), n))
+    q_buf, t_buf = np.empty((2, min(step, n) * n))
     parts = []
     for i in range(0, n, step):
-        q, t = q_buf[: n - i], t_buf[: n - i]
+        # the diagonal block counts whole, the pairs right of it twice
+        j = min(i + step, n)
+        size = (j - i) * (n - i)
+        q, t = q_buf[:size].reshape(j - i, n - i), t_buf[:size].reshape(j - i, n - i)
         q.fill(0.0)
         for u in axes:
-            q += np.square(np.subtract.outer(u[i : i + step], u, out=t), out=t)
+            q += np.square(np.subtract.outer(u[i:j], u[i:], out=t), out=t)
         np.exp(np.negative(q, out=t), out=t)
         np.multiply(np.subtract(1.5, q, out=q), t, out=q)  # e^-q (3/2 - q)
-        parts.append(float(m[i : i + step] @ q @ m))
+        row = m[i:j] @ q
+        parts += [float(row[: j - i] @ m[i:j]), 2.0 * float(row[j - i :] @ m[j:])]
     mass = lat.total_mass
     return gamma_total(mass, csl) * (fsum(parts) / mass / mass / 1.5)
 
@@ -244,9 +252,10 @@ def _axis_pair_sums(
     Sites on one pitch, to 64 eps of the largest |position| (the scale of
     their rounding, far above eps times the pitch on long or offset axes),
     have a pair distance that depends only on the index offset, and the
-    Gaussian kills offsets beyond _PAIR_BAND_D r_c: one dot product per
-    offset in the band, O(n * band) time and O(n) memory (np.correlate
-    over all offsets would be O(n^2)).  Only sites of mixed pitches take
+    Gaussian kills offsets beyond _PAIR_BAND_D r_c: the band's weight
+    autocorrelations come from one 'valid' np.correlate of the weights
+    padded by band - 1 zeros, O(n * band) time and O(n) memory ('full'
+    mode would take every offset, O(n^2)).  Only sites of mixed pitches take
     the dense pair matrix, in row blocks of _PAIR_BLOCK entries whose sums
     fsum adds, so memory does not grow as n^2.
     """
@@ -268,7 +277,7 @@ def _axis_pair_sums(
     offsets = np.arange(min(n - 1, ceil(_PAIR_BAND_D * r_c / pitch)) + 1)
     q = (offsets * pitch / r_c) ** 2 / 4.0
     g = np.exp(-q)
-    corr = np.array([weights[: n - o] @ weights[o:] for o in offsets])
+    corr = np.correlate(np.concatenate((weights, np.zeros(len(offsets) - 1))), weights)
     corr[1:] *= 2.0  # offsets +o and -o
     return float(corr @ g) / norm, float(corr @ ((0.5 - q) * g)) / norm
 

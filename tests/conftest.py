@@ -19,9 +19,9 @@ sum from one full (N, M) phase matrix.
 
 gamma_cm_mc_oneshot is the Monte-Carlo estimator of cslheat.heating
 without its blocks and without its shared formula: one draw of every
-sample per factor, numpy's means and covariances over all samples, and
-each shape's combination of the factors' moments and its partials
-written out.
+sample's |u|^2 per factor (by its Gamma(d / 2, 1) law), numpy's means and
+covariances over all samples, and each shape's combination of the
+factors' moments and its partials written out.
 """
 
 from __future__ import annotations
@@ -328,9 +328,14 @@ def gamma_cm_mc_oneshot(model, csl, quad) -> PowerEstimate:
 
     def moments(dim, form):
         """Means of |f|^2 and u^2 |f|^2 and the covariance of the means."""
-        u = rng.normal(0.0, sqrt(0.5), n if dim == 1 else (n, dim))
-        u2 = u * u if dim == 1 else np.sum(u * u, axis=1)
-        f2 = _abs2(form((u if dim == 1 else np.sqrt(u2)) / csl.r_c)) * np.ones(n)
+        # |u|^2 of u ~ N(0, I_dim / 2) is Gamma(dim / 2, 1)
+        if dim == 1:
+            u = rng.normal(0.0, sqrt(0.5), n)
+            u2 = u * u
+        else:
+            u2 = rng.standard_exponential(n) if dim == 2 else rng.standard_gamma(1.5, n)
+            u = np.sqrt(u2)
+        f2 = _abs2(form(u / csl.r_c)) * np.ones(n)
         g = np.stack((f2, u2 * f2))
         return np.mean(g, axis=1), np.cov(g) / n
 

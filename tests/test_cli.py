@@ -571,7 +571,13 @@ def test_parser_reuse_keeps_output(capsys):
 # test_probe_rates_match_mpmath holds both rates within 2e-15 of 40-digit
 # mpmath), and again when the separable rate divided its raw axis sums by
 # the exact squared weight sum (9.80e-16 -> 6.54e-16; the separable rate
-# is now held within 1e-15).  Commands that run none of
+# is now held within 1e-15).  The `heat --mc` payloads of point,
+# point_offset, discriminate, optimize, cylinder and sphere were re-recorded
+# in gamma_cm_mc and gamma_cm_mc_stderr alone when the estimator drew a
+# disc's or ball's |u|^2 from its Gamma(d / 2, 1) law in place of summing
+# squared normals (new draws; z against the closed form -0.34 -> 0.28 for
+# the point masses, 0.63 -> 0.49 for the cylinder, 1.76 -> -0.17 for the
+# sphere; the cuboid and stack draws kept their bits).  Commands that run none of
 # those emit the same bytes; the rest agree with the recording to rounding.
 RECORDED = json.loads((Path(__file__).resolve().parent / "data" /
                        "cli_payloads.json").read_text())

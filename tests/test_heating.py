@@ -23,7 +23,8 @@ from cslheat import (
     gamma_total,
     heating_report,
 )
-from cslheat.heating import I3_FREE
+from cslheat.geometry import Factor
+from cslheat.heating import I3_FREE, _mc_moments
 from conftest import gamma_cm_mc_oneshot, i3_quadrature
 
 R_C = 1e-7
@@ -201,6 +202,17 @@ def test_mc_standard_error_is_calibrated(model):
     z = np.abs(z)
     assert 0.45 <= np.mean(z < 1.0) <= 0.9
     assert z.max() <= 5.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("dim", [2, 3], ids=["disc", "ball"])
+def test_mc_radial_law(dim, seed):
+    # at diameter 0, |f| = 1 and B is the mean of |u|^2 for u ~ N(0, I_d / 2):
+    # d / 2, whatever law the estimator draws |u|^2 from
+    rng = np.random.Generator(np.random.Philox(seed))
+    mean, cov = _mc_moments(rng, Factor(dim, 0.0), R_C, 50_000, True)
+    assert mean[0] == 1.0
+    assert abs(mean[1] - 0.5 * dim) <= 5.0 * sqrt(cov[1, 1])
 
 
 class TestMonteCarloBlocks:

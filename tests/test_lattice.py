@@ -1,6 +1,7 @@
 """Discrete-lattice oracles: construction, direct sums, commutator identity."""
 
 import tracemalloc
+from math import ceil, fsum
 
 import mpmath as mp
 import numpy as np
@@ -32,7 +33,8 @@ from cslheat import (
     total_mass,
 )
 from cslheat.geometry import _lines
-from cslheat.lattice import _PROBE, PAIR_CAP, _axis_pair_sums, _line_grid
+from cslheat.lattice import (_PAIR_BAND_D, _PAIR_BLOCK, _PROBE, PAIR_CAP, _axis_pair_sums,
+                             _line_grid)
 from conftest import (
     full_grid_lattice,
     gamma_cm_pair_tensor,
@@ -67,6 +69,32 @@ def dense_axis_sums(positions, weights, r_c):
         q_sum += float(w[i : i + 256] @ g @ w)
         p_sum += float(w[i : i + 256] @ ((0.5 - q) * g) @ w)
     return q_sum, p_sum
+
+
+def full_square_pair_sum(lat, csl):
+    """gamma_cm_discrete's pair sum S over every ordered site pair: each
+    block of rows against all n columns, the blocks added by fsum."""
+    m, n = lat.masses, len(lat.masses)
+    axes = (lat.positions - lat.positions[0]).T / (2.0 * csl.r_c)
+    step = max(1, _PAIR_BLOCK // n)
+    parts = []
+    for i in range(0, n, step):
+        q = sum(np.subtract.outer(u[i : i + step], u) ** 2 for u in axes)
+        parts.append(float(m[i : i + step] @ (np.exp(-q) * (1.5 - q)) @ m))
+    return fsum(parts)
+
+
+def per_offset_axis_sums(positions, weights, r_c):
+    """(Q, P) of _axis_pair_sums on one pitch, one dot product per offset."""
+    n = len(positions)
+    pitch = (positions[-1] - positions[0]) / (n - 1)
+    offsets = np.arange(min(n - 1, ceil(_PAIR_BAND_D * r_c / pitch)) + 1)
+    q = (offsets * pitch / r_c) ** 2 / 4.0
+    g = np.exp(-q)
+    corr = np.array([weights[: n - o] @ weights[o:] for o in offsets])
+    corr[1:] *= 2.0
+    norm = fsum(weights.tolist()) ** 2
+    return float(corr @ g) / norm, float(corr @ ((0.5 - q) * g)) / norm
 
 
 def gamma_cm_mp(mass, axes, csl):
@@ -365,6 +393,24 @@ class TestGammaCmDiscrete:
         assert gamma_cm_discrete(lat, CSL) == pytest.approx(
             gamma_cm_pair_tensor(lat, CSL), rel=1e-13, abs=0
         )
+
+    @pytest.mark.parametrize("n", [2, 3, 1000, 1800])
+    def test_matches_full_square_sum(self, rng, n):
+        # 1800 sites take 50 whole blocks of 36 rows; 1000 end on a
+        # partial block of 25 rows
+        lat = random_lattice(rng, n, scale=3e-7)
+        mass = lat.total_mass
+        want = gamma_total(mass, CSL) * (full_square_pair_sum(lat, CSL) / mass / mass / 1.5)
+        assert gamma_cm_discrete(lat, CSL) == pytest.approx(want, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("n", [700, 4000])
+    def test_band_matches_per_offset_dots(self, rng, n):
+        # a pitch of r_c / 50 puts 801 offsets in the band: more than 700
+        # sites, fewer than 4000
+        pos = (np.arange(n) - 0.5 * (n - 1)) * R_C / 50 + 1e-7
+        w = rng.uniform(0.5, 2.0, n)
+        for got, want in zip(_axis_pair_sums(pos, w, R_C), per_offset_axis_sums(pos, w, R_C)):
+            assert got == pytest.approx(want, rel=1e-15, abs=0)
 
     def test_lattice_far_from_origin_matches_pair_tensor(self):
         cyl = Cylinder(2 * R_C, 3 * R_C, SILICON, (0.1, -0.2, 0.05))
