@@ -88,18 +88,18 @@ SPEC_VERSION = 1
 _LAYER_KEYS = ("material", "thickness")
 # at most MAX_PAIRS layer pairs in a design and 2 MAX_PAIRS layers in a
 # spec stack.  Designs repeat one pair of layers, whose pair sums fold into
-# O(pairs) lag sums (special._profile_ab), so they are no longer O(pairs^2);
-# an aperiodic spec stack still takes O(layers^2) time (special._pair_sums),
-# whose dense sum at the cap took 36 s in `heat` (series branch, height
-# < 2 r_c) and 14 s otherwise, on 2 cores
+# O(pairs) lag sums (special._profile_ab).  An aperiodic stack under 2 r_c
+# high takes an O(layers) moment series, about 10 ms at the cap; one at
+# least 2 r_c high still takes O(layers^2) time (special._pair_sums), whose
+# dense sum at the cap took 14 s in `heat` on 2 cores
 MAX_PAIRS = 10_000
 # Monte-Carlo runs in time linear in the samples (0.25-0.32 s CPU per 2e5
 # samples of a stack): the cap keeps a spec's heat --mc to about 15 s
 MAX_MC_SAMPLES = 10_000_000
 # the closed-form rates square extent / r_c (sphere) and sum it over every
-# pair of layer edges (special._pair_sums); below this bound neither can
-# overflow at any layer count a spec can hold (a stack 1.6e301 m high at
-# r_c = 1e-7 m gave NaN rates)
+# pair of layer edges (special._pair_sums, from 2 r_c high); below this
+# bound neither can overflow at any layer count a spec can hold (a stack
+# 1.6e301 m high at r_c = 1e-7 m gave NaN rates)
 MAX_EXTENT_RC = 1e150
 
 

@@ -17,7 +17,8 @@ A layered profile that repeats one cell of layers folds its pair sums
 into lag sums over the cell's edges (_profile_ab), n (m + 1)^2 kernel
 values for n copies of m layers in place of (nm + 1)^2, summed in a fixed
 order with no BLAS reduction, so they do not depend on the BLAS thread
-count.  Aperiodic profiles keep the dense pair sum, reduced through BLAS.
+count.  Any other multi-layer profile under 2 r_c high is one cell at
+lag 0, a moment series in O(layers); the rest keep the dense pair sum.
 
 scipy.special, which costs more to import than the rest of the package
 with numpy, is imported on first use and only by the three branches that
@@ -27,9 +28,9 @@ one-layer lines 2 to 16 r_c wide; i0e/i1e in the direct branch of
 _disc_ab (discs of radius at least r_c); and j1 in two_j1_over_x.  A
 one-layer line at least 16 r_c wide takes erf(w/2) = 1 exactly (erfc(8)
 is about 1e-29, far below half an ulp of 1), so mm-scale boxes and the
-cross-sections of stacks, as well as series profiles, periodic profiles
-of thinner cells (whose lags are moment series), spheres, point masses
-and the disc series, never load it.
+cross-sections of stacks, as well as profiles under 2 r_c high and
+periodic profiles of thinner cells (moment series), spheres, point
+masses and the disc series, never load it.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ _UNIT_BELOW = 1e-8
 
 _RT_PI = sqrt(pi)
 
-# Below a profile width of 2 r_c the kernels Phi - 2 - x^2/2 and
-# g - 1 + x^2/4 are summed as series from x^4 on (< 1e-19 at x = 2): the
-# direct sums cancel to ~eps / width^2, or ~eps * layers for thin layers.
+# A one-layer line under 2 r_c wide sums the kernels Phi - 2 - x^2/2 and
+# g - 1 + x^2/4 as series from x^4 on (< 1e-19 at x = 2), as the direct
+# sums cancel to ~eps / width^2; more layers take _folded_sums' moments.
 _PROFILE_SWITCH = 2.0
 _PHI_SERIES = tuple((-1) ** (k - 1) / (4.0 ** (k - 1) * factorial(k - 1) * 2 * k * (2 * k - 1))
                     for k in range(2, 22))
@@ -65,9 +66,9 @@ _ERF_ONE = 16.0
 
 # Periodic profiles fold into lag sums (_folded_sums) from _FOLD_MIN layers
 # on; shorter ones stay one cell, as the fold's fixed cost of about 0.1 ms
-# beats their dense pair matrix only from about 24 layers (cells at least
-# 2 r_c wide) to 64 (thinner cells).  Past a distance of _FAR, Phi is linear
-# and g zero to e^(-225), so lags whose nearest pair is farther add
+# beats the dense pair matrix only from about 24 layers, and a profile under
+# 2 r_c high costs less still as one cell (its lag 0).  Past _FAR, Phi is
+# linear and g zero to e^(-225), so lags whose nearest pair is farther add
 # nothing.  Thin cells sum their lags as moment series, to the first order
 # (at most _LAG_ORDER) whose omitted terms stay below _LAG_TOL relative.
 _FOLD_MIN = 32
@@ -77,6 +78,9 @@ _LAG_TOL = 1e-17
 _LAG_SPREAD = sqrt(2.0 * pi)  # sum_l e^(-(l P)^2 / 8) <= 1 + _LAG_SPREAD / P
 _INV_FACT = np.array([1.0 / factorial(a) for a in range(_LAG_ORDER + 1)])
 _ALTERNATE = np.array([(-1.0) ** a for a in range(_LAG_ORDER + 1)])
+# lag 0's Hermite column g^(2j)(0) = (-1)^j (2j)! / (j! 4^j), correctly rounded
+_G_AT_0 = np.array([(-1) ** j * (factorial(2 * j) // factorial(j)) / 4**j
+                    for j in range(_LAG_ORDER // 2 + 1)])
 # 4 * 1.09 / sqrt(k! 2^k): |g^(k)| <= 1.09 sqrt(k! / 2^k) e^(-x^2/8)
 # (Cramer's inequality) and |C_k| / k! <= (sum |c|)^2 P^k / k!; doubled for
 # the lag weights 2 (n - l) against n, and for the terms past the first
@@ -149,9 +153,8 @@ def two_j1_over_x(x):
     return _ratio_or_one(2.0 * j1(x), x)
 
 
-def _kernels(d, series: bool):
-    """The A and B pair kernels at distances d (an array or a float): Phi
-    and g, or their series parts Phi - 2 - x^2/2 and g - 1 + x^2/4.
+def _kernels(d):
+    """The A and B pair kernels Phi and g at distances d (an array or a float).
 
     A float d of at least _ERF_ONE takes erf(d/2) = 1.0 in the same
     operations, so the same bits, and does not import scipy.  Arrays always
@@ -159,10 +162,6 @@ def _kernels(d, series: bool):
     and testing each array for its least distance would cost a reduction
     on every call.
     """
-    if series:
-        d2 = d * d
-        d4 = d2 * d2
-        return d4 * _horner(d2, _PHI_SERIES), d4 * _horner(d2, _G_SERIES)
     kb = np.exp(-0.25 * d * d)
     if isinstance(d, float) and d >= _ERF_ONE:
         return _RT_PI * d * 1.0 + 2.0 * kb, kb
@@ -171,12 +170,12 @@ def _kernels(d, series: bool):
     return _RT_PI * d * erf(0.5 * d) + 2.0 * kb, kb
 
 
-def _pair_sums(z: np.ndarray, c: np.ndarray, series: bool) -> tuple[float, float]:
+def _pair_sums(z: np.ndarray, c: np.ndarray) -> tuple[float, float]:
     """c^T K(|z_p - z_q|) c for the A and B kernels, in row blocks."""
     step = max(1, _PAIR_BLOCK // len(z))
     sum_a = sum_b = 0.0
     for i in range(0, len(z), step):
-        ka, kb = _kernels(np.abs(z[i : i + step, None] - z[None, :]), series)
+        ka, kb = _kernels(np.abs(z[i : i + step, None] - z[None, :]))
         sum_a += float(c[i : i + step] @ ka @ c)
         sum_b += float(c[i : i + step] @ kb @ c)
     return sum_a, sum_b
@@ -244,6 +243,9 @@ def _folded_sums(z: np.ndarray, c: np.ndarray, copies: int, series: bool) -> tup
         kmax = next((k for k in range(4, _LAG_ORDER, 2)
                      if head * width ** (k - 1) * _TAIL[k + 2] < 1.0), _LAG_ORDER)
         coef = _jump_moments(z, c, kmax)
+        far = coef[4 : kmax + 1 : 2]
+        if copies == 1:  # lag 0 alone, where the series kernels' C_2 terms vanish
+            return tuple(float(np.einsum("k,k->", far, _G_AT_0[j : j + len(far)])) for j in (1, 2))
         x = width * lags
         g = _gauss_even_derivatives(x, kmax)
         if series:
@@ -253,7 +255,6 @@ def _folded_sums(z: np.ndarray, c: np.ndarray, copies: int, series: bool) -> tup
             near_a, near_b = coef[2] * em1, coef[2] * (0.25 * x * x * g[0] - 0.5 * em1)
         else:
             near_a, near_b = coef[2] * g[0], coef[2] * g[1]
-        far = coef[4 : kmax + 1 : 2]
         lag_a = near_a + np.einsum("k,kl->l", far, g[1:-1])
         lag_b = near_b + np.einsum("k,kl->l", far, g[2:])
     else:
@@ -261,7 +262,7 @@ def _folded_sums(z: np.ndarray, c: np.ndarray, copies: int, series: bool) -> tup
         d = z[:, None] - z[None, :]
         step = max(1, _PAIR_BLOCK // d.size)
         for i in range(0, len(lags), step):
-            ka, kb = _kernels(np.abs(d + width * lags[i : i + step, None, None]), False)
+            ka, kb = _kernels(np.abs(d + width * lags[i : i + step, None, None]))
             lag_a[i : i + step] = np.einsum("p,lpq,q->l", c, ka, c)
             lag_b[i : i + step] = np.einsum("p,lpq,q->l", c, kb, c)
     weight = 2.0 * (copies - lags)
@@ -292,8 +293,8 @@ def _profile_ab(widths, densities) -> tuple[float, float]:
 
     or the same two-edge terms of the series kernels below w = 2.  It is
     taken in floats, sum = 2 (K(0) - K(w)) then / w / w, with np.exp and
-    scipy's erf on the scalar w (1.0 from w = 16 on, see _kernels): the
-    dense route's operations in its order, so its bits.
+    scipy's erf on the scalar w (1.0 from w = 16 on, see _kernels): from
+    w = 2 on, the dense route's operations in its order, so its bits.
 
     A profile that repeats a cell of m layers and width P whole, n times
     (_cell), is the sum of n shifted cells, rho(z) = sum_r rho_cell(z - rP),
@@ -305,8 +306,9 @@ def _profile_ab(widths, densities) -> tuple[float, float]:
 
     n (m + 1)^2 kernel values in place of (nm + 1)^2.  Each S_l is formed
     before it is weighted, and the weighted lags are summed by fsum; no
-    BLAS call reduces them.  Aperiodic profiles (n = 1), and periodic ones
-    under _FOLD_MIN layers, keep the dense sum over all edge pairs.
+    BLAS call reduces them.  Profiles that do not fold (n = 1: aperiodic,
+    or under _FOLD_MIN layers) take the dense sum over all edge pairs from
+    2 r_c high on, and below it the moment series at lag 0 alone.
 
     A cell at least 2 r_c wide takes the direct kernels at every lag, up to
     the last lag with a pair nearer than _FAR.  A thinner cell's lags,
@@ -319,16 +321,21 @@ def _profile_ab(widths, densities) -> tuple[float, float]:
 
     which needs no erf; at lag 0 it is the Taylor series of the series
     kernels above, with their C_2 terms added back where the profile is at
-    least 2 r_c high.
+    least 2 r_c high.  One copy takes lag 0 alone, g^(k)(0) from a table
+    (_G_AT_0): L layers under 2 r_c high cost O(L k), with no pair matrix.
     """
     if len(widths) == 1:
         # z = (0, w), c = (1, -1) and sigma = w: c^T K c = 2 (K(0) - K(w)),
         # with K(0) = (2, 1) direct and 0 in series
         sigma = float(widths[0])
         series = sigma < _PROFILE_SWITCH
-        ka, kb = _kernels(sigma, series)
-        sum_a = 2.0 * ((0.0 if series else 2.0) - float(ka))
-        sum_b = 2.0 * ((0.0 if series else 1.0) - float(kb))
+        if series:
+            d2 = sigma * sigma
+            sum_a = 2.0 * (0.0 - d2 * d2 * _horner(d2, _PHI_SERIES))
+            sum_b = 2.0 * (0.0 - d2 * d2 * _horner(d2, _G_SERIES))
+        else:
+            ka, kb = _kernels(sigma)
+            sum_a, sum_b = 2.0 * (2.0 - float(ka)), 2.0 * (1.0 - float(kb))
     else:
         t = np.asarray(widths, dtype=float)
         rho = np.asarray(densities, dtype=float)
@@ -343,10 +350,8 @@ def _profile_ab(widths, densities) -> tuple[float, float]:
         c[0], c[m] = rho[0], -rho[m - 1]
         np.subtract(rho[1:m], rho[: m - 1], out=c[1:m])
         series = z[-1] * copies < _PROFILE_SWITCH
-        if copies == 1:
-            sum_a, sum_b = _pair_sums(z, c, series)
-        else:
-            sum_a, sum_b = _folded_sums(z, c, copies, series)
+        sum_a, sum_b = (_pair_sums(z, c) if copies == 1 and not series
+                        else _folded_sums(z, c, copies, series))
     sum_a, sum_b = sum_a / sigma / sigma, sum_b / sigma / sigma
     if series:
         return _RT_PI * (1.0 - sum_a), _RT_PI * (0.5 + sum_b)

@@ -9,11 +9,12 @@ form factors instead and so checks the forms themselves.
 
 import math
 import sys
+import time
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from cslheat import (
@@ -277,7 +278,8 @@ def test_fold_matches_unfolded_sum(monkeypatch):
     # periodic profiles of up to 2,000 layers with random cells, through
     # every fold branch (cell, copies, height: a thin cell, the series
     # kernels below 2 r_c high, a one-layer cell, thick cells), against the
-    # dense pair sum over the expanded edges.  The tolerance is the dense
+    # same edges taken as one cell: the dense pair sum, or, for the 1.9 r_c
+    # profile, the moment series at one copy.  The tolerance is the dense
     # sum's own error: on the first profile it is off 30-digit mpmath by
     # 7.3e-12 in A, where the fold is off by 1e-16 (the fold's accuracy on
     # such profiles is held to mpmath by the 1,024-layer test above)
@@ -294,6 +296,90 @@ def test_fold_matches_unfolded_sum(monkeypatch):
         a_dense, b_dense = _profile_ab(t, rho)
         assert abs(a - a_dense) <= 1e-11 * a_dense
         assert abs(b - b_dense) <= 1e-11 * b_dense
+
+
+def test_high_contrast_thin_profile_matches_mpmath():
+    # 100 layers 1.99 r_c high, densities 1 and 1e-6, the dense ones about a
+    # hundredth as thick as the light ones between them, widths jittered so
+    # no cell repeats.  The dense series pair sum was off 50-digit mpmath by
+    # 3.5e-12 in A and 1.8e-11 in B; the moment series by 1.0e-14 and 3.7e-14
+    rng = np.random.default_rng(3)
+    t = np.where(np.arange(100) % 2 == 0, 0.01, 1.0) * rng.uniform(0.5, 1.0, 100)
+    t, rho = (t * 1.99 / t.sum()).tolist(), [1.0, 1e-6] * 50
+    assert _cell(t, rho) == len(t)
+    with mp.workdps(50):
+        _assert_ab_match(t, rho, _profile_ab_mp(t, rho))
+
+
+def test_spec_cap_thin_profile_is_fast():
+    # 20,000 layers (core.MAX_PAIRS pairs) 1.5 r_c high, aperiodic: the
+    # moment series is O(layers), about 10 ms; the dense series sum took 36 s.
+    # Reversed, the stack is the same body (they agree to 4.2e-15 here)
+    rng = np.random.default_rng(8)
+    t = rng.uniform(0.2, 1.0, 20_000)
+    t, rho = (t * 1.5 / t.sum()).tolist(), rng.uniform(100.0, 2e4, 20_000).tolist()
+    start = time.perf_counter()
+    ab = _profile_ab(t, rho)
+    assert time.perf_counter() - start < 1.0
+    _assert_ab_match(t[::-1], rho[::-1], ab)
+
+
+def _thin_profile(data, max_layers=300):
+    """Widths over 3 decades and densities over 6, drawn independently, up
+    to 2 r_c high."""
+    layers = data.draw(st.integers(2, max_layers))
+    height = data.draw(st.one_of(st.floats(-6.0, math.log10(2.0)).map(lambda e: 10.0**e),
+                                 st.just(math.nextafter(2.0, 0.0))))
+    t = np.array(data.draw(st.lists(st.floats(-3.0, 0.0), min_size=layers, max_size=layers)))
+    t = 10.0**t * height / (10.0**t).sum()
+    rho = data.draw(st.lists(st.floats(-6.0, 0.0), min_size=layers, max_size=layers))
+    return t.tolist(), [2e4 * 10.0**e for e in rho]
+
+
+def _thin(t, copies=1):
+    """Whether _profile_ab takes `copies` copies of the layers t as thin:
+    their summed edges stay under 2 r_c."""
+    return float(np.cumsum(t)[-1]) * copies < 2.0
+
+
+# one thin body written two ways gets one A and B, to the error a payload
+# claims.  These pairs hold the thin route: a draw whose edges sum to 2.0
+# in either order (heights of nextafter(2, 0)) takes the direct dense sum
+# and is not drawn again.  Stacks of thin dense sheets between much thicker
+# light layers lose more than that error on the moment route (CHANGES.md)
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_thin_profile_reversed_or_split_keeps_ab(data):
+    t, rho = _thin_profile(data)
+    k = data.draw(st.integers(0, len(t) - 1))
+    split = t[:k] + [0.5 * t[k]] * 2 + t[k + 1 :]
+    assume(_thin(t) and _thin(t[::-1]) and _thin(split))
+    ab = _profile_ab(t, rho)
+    _assert_ab_match(t[::-1], rho[::-1], ab)
+    _assert_ab_match(split, rho[:k] + [rho[k]] * 2 + rho[k + 1 :], ab)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_thin_fold_and_nudged_copy_keep_ab(data):
+    # a periodic thin stack folds into lag sums; one layer 1 ulp thicker
+    # breaks the period and takes the moment series at one copy, forwards
+    # and reversed
+    t, rho = _thin_profile(data, max_layers=4)
+    copies = data.draw(st.integers(-(-_FOLD_MIN // len(t)), 250))
+    cell = [w / copies for w in t]
+    t, rho = cell * copies, rho * copies
+    assert _cell(t, rho) < len(t)
+    nudged = list(t)
+    k = data.draw(st.integers(0, len(t) - 1))
+    nudged[k] = math.nextafter(nudged[k], math.inf)
+    assume(_thin(cell, copies) and _thin(nudged) and _thin(nudged[::-1]))
+    assert _cell(nudged, rho) == len(t)
+    ab = _profile_ab(t, rho)
+    _assert_ab_match(nudged, rho, ab)
+    _assert_ab_match(nudged[::-1], rho[::-1], ab)
 
 
 @pytest.mark.parametrize("extent", [1e-6, 1e5])
