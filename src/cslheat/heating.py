@@ -50,7 +50,10 @@ from .geometry import I3_FREE, MassModel, _i3, total_mass
 
 # relative accuracy of the closed forms for extent / r_c in [1e-6, 1e5],
 # aperiodic stacks of up to 256 layers and periodic ones of up to 1,024,
-# enforced against mpmath by the tests
+# enforced against mpmath by the tests.  Known limit outside it: thin dense
+# sheets between much thicker light layers, where the moment series (under
+# 2 r_c high) loses up to about 1e-9 and the dense pair sum (from 2 r_c)
+# can be wrong outright
 REL_ERROR = 1e-12
 _MC_BLOCK = 1 << 14  # Monte-Carlo samples per block: temporaries stay in L2
 _GAUSS_3D = pi**1.5  # integral of exp(-u^2) over R^3: I3 over _i3 of the sampled means

@@ -34,6 +34,10 @@ brute-force checks live here:
 Sites are filled on a simple cubic grid (cell centers inside the body,
 tested on the three broadcast 1D axes) and the site masses are rescaled
 by one overall factor so the lattice mass matches the model exactly.
+The grid is taken one slab of whole x planes at a time (_slabs), so no
+full-grid mask exists: build_lattice counts the sites, then fills its two
+arrays slab by slab, and lattice_check sums its 128^3 convergence probe
+slab by slab without ever building it.
 The lattice reads a body through its factors (their extents, and the
 profile, layer widths and densities, of a last factor that is a line)
 and, where that last factor is not a line (a sphere), through
@@ -52,14 +56,18 @@ from .core import CONSTANTS, CslParams, gamma_total
 from .geometry import Cuboid, Factor, MassModel, Material, PointMass
 from .geometry import _i3, _lines, extents, mu_tilde, total_mass
 
-SITE_CAP = 100_000_000  # candidate sites of build_lattice: 0.8 GB per coordinate
+# candidate sites of build_lattice: its output, 32 B a site, stays under
+# 3.2 GB; the candidate grid is only ever held a slab at a time
+SITE_CAP = 100_000_000
 PAIR_CAP = 2**28  # site pairs of gamma_cm_discrete
 # pair-phase Gaussian exp(-D^2/4) with the (3/2 - D^2/4) polynomial is
 # below 1e-16 relative for D > 14
 _PAIR_BAND_D = 16.0
 # pair entries (site phases) per block of gamma_cm_discrete and of the dense
 # route of _axis_pair_sums (mu_tilde_discrete): the work buffers stay in
-# cache; pair blocks of 2^20 entries ran 1.4-2x slower
+# cache; pair blocks of 2^20 entries ran 1.4-2x slower.  Also the candidate
+# sites of a slab of _slabs (at least one x plane): a 128^3 grid goes in
+# slabs of 4 planes, one mu_tilde_discrete block each
 _PAIR_BLOCK = 1 << 16
 
 
@@ -97,20 +105,17 @@ def _axis_centers(center: float, extent: float, d: float) -> np.ndarray:
     return center + (np.arange(n) - 0.5 * (n - 1)) * d
 
 
-def build_lattice(model: MassModel, spacing: float) -> Lattice:
-    """Fill the body with a simple-cubic grid of pitch `spacing`.
+def _slabs(model: MassModel, spacing: float):
+    """Yield the candidate grid of build_lattice one slab of whole x planes
+    at a time, as (inside, axes, density).
 
-    Cell centers inside the body become sites with mass density * d^3,
-    then all masses are rescaled by one factor so the total equals
-    total_mass(model) exactly.  Raises TooManySites, before allocating
-    the grid, when it would exceed SITE_CAP candidate sites.
+    A slab holds at most _PAIR_BLOCK candidate sites and at least one x
+    plane.  `inside` is its cell-centre mask, `axes` its three site axes
+    broadcast against the mask, `density` the density of each z plane (a
+    scalar for a body whose last factor is not a line).  For a spacing > 0;
+    raises, before any slab exists, for one not below every extent, and
+    TooManySites beyond SITE_CAP candidate sites.
     """
-    if not spacing > 0:
-        raise ValueError(f"spacing must be > 0, got {spacing}")
-    if isinstance(model, PointMass):
-        pos = np.asarray(model.position, float) + np.asarray(model.offset, float)
-        return Lattice(masses=np.array([model.mass]), positions=pos.reshape(1, 3))
-
     ext = extents(model)
     if spacing >= min(ext):
         raise ValueError(
@@ -124,7 +129,6 @@ def build_lattice(model: MassModel, spacing: float) -> Lattice:
             f"grid of {n_total} candidate sites exceeds the cap {SITE_CAP}"
         )
     x, y, z = np.ix_(*(a - c for a, c in zip(axes, center)))
-    inside = model.inside(x, y, z)
     last = model.factors[-1]
     if last.dim == 1:  # a z line: its layers set the density per z plane
         widths, rho = last.profile
@@ -134,17 +138,49 @@ def build_lattice(model: MassModel, spacing: float) -> Lattice:
         density = np.asarray(rho)[idx]
     else:
         density = model.material.density
+    ax, ay, az = np.ix_(*axes)
+    step = max(1, _PAIR_BLOCK // (len(axes[1]) * len(axes[2])))
+    for i in range(0, len(axes[0]), step):
+        yield model.inside(x[i : i + step], y, z), (ax[i : i + step], ay, az), density
 
-    n_sites = np.count_nonzero(inside)
+
+def _fill(slab, spacing: float, masses: np.ndarray, positions: np.ndarray) -> None:
+    """Write a slab's sites, before the rescale, into masses (n,) and
+    positions (n, 3); masking the broadcast axes keeps C (x-major) order."""
+    inside, axes, density = slab
+    for k, a in enumerate(axes):
+        positions[:, k] = np.broadcast_to(a, inside.shape)[inside]
+    np.multiply(np.broadcast_to(density, inside.shape)[inside], spacing**3, out=masses)
+
+
+def build_lattice(model: MassModel, spacing: float) -> Lattice:
+    """Fill the body with a simple-cubic grid of pitch `spacing`.
+
+    Cell centers inside the body become sites with mass density * d^3,
+    then all masses are rescaled by one factor so the total equals
+    total_mass(model) exactly.  The grid is taken in slabs of whole x
+    planes (_slabs): one pass counts the sites, a second fills the two
+    output arrays, allocated once, so no full-grid mask or gather
+    temporary exists.  Raises TooManySites, before allocating anything,
+    when the grid would exceed SITE_CAP candidate sites.
+    """
+    if not spacing > 0:
+        raise ValueError(f"spacing must be > 0, got {spacing}")
+    if isinstance(model, PointMass):
+        pos = np.asarray(model.position, float) + np.asarray(model.offset, float)
+        return Lattice(masses=np.array([model.mass]), positions=pos.reshape(1, 3))
+
+    n_sites = sum(np.count_nonzero(slab[0]) for slab in _slabs(model, spacing))
     if n_sites == 0:
         raise ValueError("no lattice site fell inside the body; reduce spacing")
-    # masking the broadcast axes gathers the sites in C (x-major) order
-    pos = np.empty((n_sites, 3))
-    for k, a in enumerate(np.ix_(*axes)):
-        pos[:, k] = np.broadcast_to(a, inside.shape)[inside]
-    masses = np.broadcast_to(density, inside.shape)[inside] * spacing**3
+    masses, positions = np.empty(n_sites), np.empty((n_sites, 3))
+    i = 0
+    for slab in _slabs(model, spacing):
+        j = i + np.count_nonzero(slab[0])
+        _fill(slab, spacing, masses[i:j], positions[i:j])
+        i = j
     masses *= total_mass(model) / np.sum(masses)
-    return Lattice(masses=masses, positions=pos)
+    return Lattice(masses=masses, positions=positions)
 
 
 def mu_tilde_discrete(lat: Lattice, k):
@@ -314,6 +350,21 @@ def gamma_cm_discrete_separable(
     return gamma_total(total_mass(model), csl) * (shape_sum / 1.5)
 
 
+def _slab_mu_tilde(model: MassModel, spacing: float, k) -> complex:
+    """mu_tilde_discrete(build_lattice(model, spacing), k), one slab at a
+    time: the lattice never exists whole.  The slabs' unscaled sums are
+    scaled once by the mass over the exact sum (fsum) of the slab masses.
+    """
+    mu, sums = 0j, []
+    for slab in _slabs(model, spacing):
+        n = np.count_nonzero(slab[0])
+        part = Lattice(np.empty(n), np.empty((n, 3)))
+        _fill(slab, spacing, part.masses, part.positions)
+        mu += mu_tilde_discrete(part, k)
+        sums.append(part.total_mass)
+    return mu * (total_mass(model) / fsum(sums))
+
+
 def _random_lattice(rng: np.random.Generator, n: int, scale: float) -> Lattice:
     masses = rng.uniform(0.5, 2.0, n) * 1e-18
     positions = rng.uniform(-scale, scale, (n, 3))
@@ -383,8 +434,7 @@ def lattice_check(seed: int = 0, r_c: float = 1e-7) -> dict:
     errs, spacings = [], []
     for n in (16, 32, 64, 128):
         d = 2 * r_c / n
-        lat = build_lattice(cube, d)
-        errs.append(abs(mu_tilde_discrete(lat, kvec) - exact) / mass)
+        errs.append(abs(_slab_mu_tilde(cube, d, kvec) - exact) / mass)
         spacings.append(d)
     slope = float(
         np.polyfit(np.log(np.asarray(spacings)), np.log(np.asarray(errs)), 1)[0]

@@ -7,6 +7,7 @@ The quadrature oracle (conftest.i3_quadrature) integrates the analytic
 form factors instead and so checks the forms themselves.
 """
 
+import dataclasses
 import math
 import sys
 import time
@@ -324,12 +325,13 @@ def test_spec_cap_thin_profile_is_fast():
     _assert_ab_match(t[::-1], rho[::-1], ab)
 
 
-def _thin_profile(data, max_layers=300):
+def _thin_profile(data, max_layers=300, height=None):
     """Widths over 3 decades and densities over 6, drawn independently, up
-    to 2 r_c high."""
+    to 2 r_c high unless `height` is given."""
     layers = data.draw(st.integers(2, max_layers))
-    height = data.draw(st.one_of(st.floats(-6.0, math.log10(2.0)).map(lambda e: 10.0**e),
-                                 st.just(math.nextafter(2.0, 0.0))))
+    if height is None:
+        height = data.draw(st.one_of(st.floats(-6.0, math.log10(2.0)).map(lambda e: 10.0**e),
+                                     st.just(math.nextafter(2.0, 0.0))))
     t = np.array(data.draw(st.lists(st.floats(-3.0, 0.0), min_size=layers, max_size=layers)))
     t = 10.0**t * height / (10.0**t).sum()
     rho = data.draw(st.lists(st.floats(-6.0, 0.0), min_size=layers, max_size=layers))
@@ -382,6 +384,21 @@ def test_thin_fold_and_nudged_copy_keep_ab(data):
     _assert_ab_match(nudged[::-1], rho[::-1], ab)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_stack_on_either_side_of_2_rc_keeps_ab(data):
+    # one aperiodic profile whose last layer ends at 2 r_c (the direct dense
+    # sum) or 1 ulp short of it (the moment series)
+    t, rho = _thin_profile(data, max_layers=100, height=2.0)
+    below = list(t)
+    t[-1] = 2.0 - float(np.cumsum(t)[-2])
+    below[-1] = math.nextafter(2.0, 0.0) - float(np.cumsum(t)[-2])
+    assume(np.cumsum(t)[-1] == 2.0 and np.cumsum(below)[-1] == math.nextafter(2.0, 0.0))
+    assume(_cell(t, rho) == len(t))
+    _assert_ab_match(below, rho, _profile_ab(t, rho))
+
+
 @pytest.mark.parametrize("extent", [1e-6, 1e5])
 def test_extremes_match_quadrature(extent):
     # long axes only where needed: the oracle's panel count grows with extent
@@ -424,6 +441,63 @@ def test_closed_form_matches_quadrature_oracle(model, r_c):
     i3, _ = i3_quadrature(model, r_c, ORACLE_QUAD)
     got = heating_report(model, CslParams(1.0, r_c), QUAD).reduction_factor
     assert got == pytest.approx(i3 / I3_FREE, rel=1e-11, abs=0)
+
+
+# route crossings: one body written two ways, or put on either side of a
+# switch, gets one rate to the error a payload claims
+def _reduction(model, r_c=1.0):
+    return heating_report(model, CslParams(1.0, r_c), QUAD).reduction_factor
+
+
+def _assert_same_rate(got, want):
+    assert abs(got - want) <= REL_ERROR * want
+
+
+_log_length = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sides=st.tuples(_log_length, _log_length, _log_length), material=_material,
+       offset=_offset)
+def test_cuboid_as_one_layer_stack_keeps_gamma_cm(sides, material, offset):
+    lx, ly, lz = sides
+    csl = CslParams(1.0, 1.0)
+    cuboid = heating_report(Cuboid(lx, ly, lz, material, offset), csl, QUAD)
+    stack = heating_report(LayeredStack(lx, ly, (Layer(material, lz),), offset), csl, QUAD)
+    _assert_same_rate(stack.gamma_cm, cuboid.gamma_cm)
+
+
+def _scaled(model, factor):
+    """The model with every length times `factor`."""
+    lengths = {name: getattr(model, name) * factor
+               for name in set(model.extent_fields) - {"layers"}}
+    if isinstance(model, LayeredStack):
+        lengths["layers"] = tuple(dataclasses.replace(layer, thickness=layer.thickness * factor)
+                                  for layer in model.layers)
+    return dataclasses.replace(model, offset=tuple(x * factor for x in model.offset), **lengths)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(model=_bodies_st, factor=_log_length)
+def test_scaled_body_keeps_its_reduction(model, factor):
+    # every length and r_c times one factor: extent / r_c moves by rounding
+    # alone, which can put it on the other side of a series switch
+    _assert_same_rate(_reduction(_scaled(model, factor), factor), _reduction(model))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(exponent=st.integers(-30, 30), height=_log_length, material=_material)
+def test_disc_and_ball_keep_their_reduction_across_the_series_switch(exponent, height,
+                                                                      material):
+    # radius / r_c is 1 ulp under 1 (series) and 1 (direct) exactly, as
+    # r_c is a power of 2
+    r_c = 2.0**exponent
+    below, at = math.nextafter(1.0, 0.0) * r_c, r_c
+    for body in (lambda r: Sphere(r, material), lambda r: Cylinder(r, height * r_c, material)):
+        _assert_same_rate(_reduction(body(below), r_c), _reduction(body(at), r_c))
 
 
 def test_production_paths_never_reach_quadrature(monkeypatch):

@@ -1,7 +1,11 @@
 """Discrete-lattice oracles: construction, direct sums, commutator identity."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from math import ceil, fsum
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -32,9 +36,9 @@ from cslheat import (
     mu_tilde_discrete,
     total_mass,
 )
-from cslheat.geometry import _lines
+from cslheat.geometry import _lines, extents
 from cslheat.lattice import (_PAIR_BAND_D, _PAIR_BLOCK, _PROBE, PAIR_CAP, _axis_pair_sums,
-                             _line_grid)
+                             _line_grid, _slab_mu_tilde, _slabs)
 from conftest import (
     full_grid_lattice,
     gamma_cm_pair_tensor,
@@ -42,6 +46,7 @@ from conftest import (
     mu_tilde_site_matrix,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 R_C = 1e-7
 CSL = CslParams(1e-16, R_C)
 SILICON = Material("silicon", 2329.0)
@@ -193,6 +198,89 @@ class TestBuildLattice:
         positions, masses = full_grid_lattice(model, spacing)
         np.testing.assert_array_equal(lat.positions, positions)
         np.testing.assert_array_equal(lat.masses, masses)
+
+
+class TestSlabs:
+    @pytest.mark.parametrize("model, spacing", [
+        (Cuboid(2 * R_C, 2 * R_C, 2 * R_C, SILICON), 2 * R_C / 100),
+        (Sphere(2.2 * R_C, SILICON), R_C / 15),
+        # planes of 300 x 300 candidates, over _PAIR_BLOCK: one plane a slab
+        (Cuboid(0.4 * R_C, 30 * R_C, 30 * R_C, SILICON), R_C / 10),
+    ])
+    def test_whole_planes_of_at_most_a_block(self, model, spacing):
+        masks = [slab[0] for slab in _slabs(model, spacing)]
+        planes = [m.shape[0] for m in masks]
+        assert len(masks) > 1
+        assert sum(planes) == ceil(extents(model)[0] / spacing - 1e-9)
+        assert all(m.shape[1:] == masks[0].shape[1:] for m in masks)
+        plane = masks[0][0].size
+        assert all(p == 1 or p * plane <= _PAIR_BLOCK for p in planes)
+        assert all(p == max(1, _PAIR_BLOCK // plane) for p in planes[:-1])
+
+    def test_build_memory_stays_within_its_output(self):
+        # one slab's mask and gather temporaries beside the two output
+        # arrays: no full-grid mask or gather temporary (1.03x at one grid)
+        cube = Cuboid(2 * R_C, 2 * R_C, 2 * R_C, SILICON)
+        tracemalloc.start()
+        try:
+            lat = build_lattice(cube, 2 * R_C / 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lat.n_cells == 1_000_000
+        assert peak <= 1.1 * (lat.masses.nbytes + lat.positions.nbytes)
+
+    @pytest.mark.parametrize("model, spacing", [
+        (Cuboid(2 * R_C, 2 * R_C, 2 * R_C, _PROBE), 2 * R_C / 64),
+        # ragged slabs: each x plane of the ball holds its own site count
+        (Sphere(2.2 * R_C, SILICON, (3e-8, 0.0, -1e-7)), R_C / 15),
+        (LayeredStack(
+            4.1 * R_C, 3.0 * R_C,
+            (Layer(Material("h", 2000.0), 1.0 * R_C),
+             Layer(Material("l", 200.0), 1.3 * R_C),
+             Layer(Material("h", 2000.0), 0.7 * R_C)),
+            (5e-7, 0.0, 1e-7)), R_C / 20),
+    ], ids=["cube", "sphere", "stack"])
+    def test_slab_sum_matches_whole_lattice(self, rng, model, spacing):
+        assert len(list(_slabs(model, spacing))) > 1
+        k = rng.normal(0.0, 1.0 / R_C, 3)
+        want = mu_tilde_discrete(build_lattice(model, spacing), k)
+        got = _slab_mu_tilde(model, spacing, k)
+        assert abs(got - want) <= 1e-13 * total_mass(model)
+
+    def test_lattice_check_memory_stays_small(self):
+        # its 128^3 probe, 64 MB whole, is summed one slab at a time
+        tracemalloc.start()
+        try:
+            lattice_check(seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+    def test_lattice_check_command_rss_stays_small(self):
+        # the peak RSS of a fresh process, from its import to its end: VmHWM
+        # starts afresh at exec, where ru_maxrss keeps the peak of the
+        # process that forked it (pytest's own).  The whole probe grew it
+        # by about 78 MB
+        script = ("import contextlib, io, sys\n"
+                  "def peak():\n"
+                  "    with open('/proc/self/status') as status:\n"
+                  "        return next(int(line.split()[1]) for line in status\n"
+                  "                    if line.startswith('VmHWM:'))\n"
+                  "from cslheat.cli import main\n"
+                  "before = peak()\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    code = main(['lattice-check', '--spec', sys.argv[1]])\n"
+                  "print(code, (peak() - before) * 1024)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script, str(ROOT / "specs" / "point.json")],
+                              env=env, capture_output=True, text=True, check=True, timeout=120)
+        code, grown = proc.stdout.split()
+        assert int(code) == 0
+        assert int(grown) < 30e6
 
 
 class TestMuTildeDiscrete:
